@@ -50,32 +50,53 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-def exit_bound_finite_i(h0: float, a: float, b: float, horizon: float) -> float:
-    """Variant-I finite-horizon bound. Requires a > b >= 0, 0 <= h0 <= 1, T > 0."""
+def _check_i(h0: float, a: float, b: float) -> tuple[float, float, float]:
     h0, a, b = _check_finite("h0", h0), _check_finite("a", a), _check_finite("b", b)
-    horizon = _check_finite("horizon", horizon)
     if not 0.0 <= h0 <= 1.0:
         raise DomainError(f"h0 must lie in [0, 1], got {h0}")
     if not a > b >= 0.0:
         raise DomainError(f"need a > b >= 0, got a={a}, b={b}")
+    return h0, a, b
+
+
+def _check_ii(g0: float, a: float, b: float) -> tuple[float, float, float]:
+    g0, a, b = _check_finite("g0", g0), _check_finite("a", a), _check_finite("b", b)
+    if g0 > 1.0:
+        raise DomainError(f"g0 must be <= 1, got {g0}")
+    if not a > b:
+        raise DomainError(f"need a > b, got a={a}, b={b}")
+    return g0, a, b
+
+
+def _check_horizon(horizon: float) -> float:
+    horizon = _check_finite("horizon", horizon)
     if horizon <= 0.0:
         raise DomainError(f"horizon must be positive, got {horizon}")
+    return horizon
+
+
+def _infinite_bound(v: float, a: float, b: float) -> float:
     r = b / a
+    return _clamp01((v - r) / (1.0 - r))
+
+
+def _finite_bound(v: float, a: float, b: float, horizon: float) -> float:
     if a * horizon > EXP_ARG_MAX:
-        return _clamp01((h0 - r) / (1.0 - r))
+        return _infinite_bound(v, a, b)
+    r = b / a
     e = math.expm1(a * horizon)
-    return _clamp01(((h0 - r) * e + (h0 - 1.0)) / ((1.0 - r) * e))
+    return _clamp01(((v - r) * e + (v - 1.0)) / ((1.0 - r) * e))
+
+
+def exit_bound_finite_i(h0: float, a: float, b: float, horizon: float) -> float:
+    """Variant-I finite-horizon bound. Requires a > b >= 0, 0 <= h0 <= 1, T > 0."""
+    h0, a, b = _check_i(h0, a, b)
+    return _finite_bound(h0, a, b, _check_horizon(horizon))
 
 
 def exit_bound_infinite_i(h0: float, a: float, b: float) -> float:
     """Variant-I infinite-horizon bound. Requires a > b >= 0, 0 <= h0 <= 1."""
-    h0, a, b = _check_finite("h0", h0), _check_finite("a", a), _check_finite("b", b)
-    if not 0.0 <= h0 <= 1.0:
-        raise DomainError(f"h0 must lie in [0, 1], got {h0}")
-    if not a > b >= 0.0:
-        raise DomainError(f"need a > b >= 0, got a={a}, b={b}")
-    r = b / a
-    return _clamp01((h0 - r) / (1.0 - r))
+    return _infinite_bound(*_check_i(h0, a, b))
 
 
 def exit_bound_lemma2(h0: float) -> float:
@@ -88,35 +109,18 @@ def exit_bound_lemma2(h0: float) -> float:
 
 def exit_bound_finite_ii(g0: float, a: float, b: float, horizon: float) -> float:
     """Variant-II finite-horizon bound. Requires a > b, g0 <= 1, T > 0."""
-    g0, a, b = _check_finite("g0", g0), _check_finite("a", a), _check_finite("b", b)
-    horizon = _check_finite("horizon", horizon)
-    if g0 > 1.0:
-        raise DomainError(f"g0 must be <= 1, got {g0}")
-    if not a > b:
-        raise DomainError(f"need a > b, got a={a}, b={b}")
-    if horizon <= 0.0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
+    g0, a, b = _check_ii(g0, a, b)
+    horizon = _check_horizon(horizon)
     if a > A_SWITCH_EPS:
-        r = b / a
-        if a * horizon > EXP_ARG_MAX:
-            return _clamp01((g0 - r) / (1.0 - r))
-        e = math.expm1(a * horizon)
-        return _clamp01(((g0 - r) * e + (g0 - 1.0)) / ((1.0 - r) * e))
+        return _finite_bound(g0, a, b, horizon)
     # drift-only branch; a enters only through b - a
     return _clamp01(1.0 - (g0 - 1.0) / ((b - a) * horizon))
 
 
 def exit_bound_infinite_ii(g0: float, a: float, b: float) -> float:
     """Variant-II infinite-horizon bound: 1 when a <= A_SWITCH_EPS."""
-    g0, a, b = _check_finite("g0", g0), _check_finite("a", a), _check_finite("b", b)
-    if g0 > 1.0:
-        raise DomainError(f"g0 must be <= 1, got {g0}")
-    if not a > b:
-        raise DomainError(f"need a > b, got a={a}, b={b}")
-    if a > A_SWITCH_EPS:
-        r = b / a
-        return _clamp01((g0 - r) / (1.0 - r))
-    return 1.0
+    g0, a, b = _check_ii(g0, a, b)
+    return _infinite_bound(g0, a, b) if a > A_SWITCH_EPS else 1.0
 
 
 def bound_curve(
@@ -135,6 +139,10 @@ def bound_curve(
     finite entry degenerates to 1 if the target was reached and 0 otherwise.
     """
     variant_i = spec.variant == ProblemVariant.PROBLEM_I
+    if variant_i:
+        finite_bound, infinite_bound = exit_bound_finite_i, exit_bound_infinite_i
+    else:
+        finite_bound, infinite_bound = exit_bound_finite_ii, exit_bound_infinite_ii
     infinite_horizon = math.isinf(horizon)
     if not infinite_horizon:
         horizon = _check_finite("horizon", horizon)
@@ -146,27 +154,13 @@ def bound_curve(
         if not (math.isfinite(a) and math.isfinite(b)):
             out.append((None, None))
             continue
-        if variant_i:
-            v = _clamp01(float(value))
-            inf_bound = exit_bound_infinite_i(v, a, b)
-            if infinite_horizon:
-                fin_bound = None
-            else:
-                remaining = horizon - t
-                if remaining > 0.0:
-                    fin_bound = exit_bound_finite_i(v, a, b, remaining)
-                else:
-                    fin_bound = 1.0 if float(value) >= 1.0 else 0.0
+        v = _clamp01(float(value)) if variant_i else min(1.0, float(value))
+        inf_bound = infinite_bound(v, a, b)
+        if infinite_horizon:
+            fin_bound = None
+        elif horizon - t > 0.0:
+            fin_bound = finite_bound(v, a, b, horizon - t)
         else:
-            v = min(1.0, float(value))
-            inf_bound = exit_bound_infinite_ii(v, a, b)
-            if infinite_horizon:
-                fin_bound = None
-            else:
-                remaining = horizon - t
-                if remaining > 0.0:
-                    fin_bound = exit_bound_finite_ii(v, a, b, remaining)
-                else:
-                    fin_bound = 1.0 if float(value) >= 1.0 else 0.0
+            fin_bound = 1.0 if float(value) >= 1.0 else 0.0
         out.append((fin_bound, inf_bound))
     return out

@@ -287,19 +287,24 @@ def validate_config(raw: dict) -> ScenarioConfig:
     return cfg
 
 
-def load_scenario(source) -> ScenarioConfig:
-    """Load and validate a scenario from a path, JSON string content or dict."""
-    if isinstance(source, dict):
-        return validate_config(source)
+def _read_raw(path) -> dict:
+    """Parse a JSON config file into its raw top-level object."""
     try:
-        text = Path(source).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError("config", f"cannot read {source}: {exc}") from exc
+        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    return validate_config(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError("config", "top level must be a JSON object")
+    return raw
+
+
+def load_scenario(source) -> ScenarioConfig:
+    """Load and validate a scenario from a path or a raw dict."""
+    return validate_config(source if isinstance(source, dict) else _read_raw(source))
 
 
 def instantiate(cfg: ScenarioConfig) -> tuple[SdeModel, ProblemSpec, np.ndarray]:
@@ -329,12 +334,6 @@ def _fmt(value: float | None) -> str:
     return format(float(value), ".17g")
 
 
-def _barrier_values(barrier: BarrierFunction, states: np.ndarray) -> np.ndarray:
-    if barrier.vectorized:
-        return np.asarray(barrier.value(states), dtype=float)
-    return np.array([float(barrier.value(x)) for x in states])
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     """Run one scenario: representative trajectory, Monte Carlo, echo files."""
     out = Path(out_dir)
@@ -345,7 +344,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     bound_horizon = math.inf if infinite else float(cfg.T)
 
     traj = simulate_path(model, spec, x0, cfg.dt, sim_horizon, path_seed=cfg.master_seed)
-    values = _barrier_values(spec.barrier, traj.states)
+    values = np.asarray(spec.barrier.value(traj.states), dtype=float)
     samples = list(zip(traj.times, values, traj.cert_a, traj.cert_b))
     curve = bound_curve(spec, samples, bound_horizon)
 
@@ -502,20 +501,6 @@ def _apply_overrides(raw: dict, args: argparse.Namespace) -> None:
         raw["w"] = args.weight
     if args.delta is not None:
         raw["delta"] = args.delta
-
-
-def _read_raw(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be a JSON object")
-    return raw
 
 
 def cli_main(argv=None) -> int:

@@ -8,6 +8,9 @@ generator applied to v at x is affine in the control:
               = c0(x) + c(x) . u
 
 The decomposition (c0, c) is what the per-state synthesis LP consumes.
+``generator_batch`` computes it for a batch of states; the single-state
+``generator_decompose`` is its P = 1 case, so a state gets the same bits
+alone as inside a simulated batch.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .errors import DimensionError
 from .model import BarrierFunction, SdeModel
 
-__all__ = ["GeneratorDecomposition", "generator_decompose", "generator_value"]
+__all__ = ["GeneratorDecomposition", "generator_batch", "generator_decompose", "generator_value"]
 
 
 @dataclass(frozen=True)
@@ -28,6 +31,26 @@ class GeneratorDecomposition:
 
     c0: float
     c: np.ndarray
+
+
+def generator_batch(
+    model: SdeModel, barrier: BarrierFunction, xs: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Generator coefficients at a batch of states xs of shape (P, n).
+
+    Returns (c0, c, f1, f2, sigma): c0 (P,) and c (P, m), plus the model
+    fields they were built from, which the Euler step reuses.  The einsums
+    keep per-row float operations independent of P.
+    """
+    grad = np.asarray(barrier.gradient(xs), dtype=float)
+    hess = np.asarray(barrier.hessian(xs), dtype=float)
+    f1 = np.asarray(model.f1(xs), dtype=float)
+    f2 = np.asarray(model.f2(xs), dtype=float)
+    sigma = np.asarray(model.sigma(xs), dtype=float)
+    c0 = np.einsum("pn,pn->p", grad, f1)
+    c0 += 0.5 * np.einsum("pik,pij,pjk->p", sigma, hess, sigma)
+    c = np.einsum("pn,pnm->pm", grad, f2)
+    return c0, c, f1, f2, sigma
 
 
 def generator_decompose(
@@ -39,13 +62,8 @@ def generator_decompose(
         raise DimensionError(f"state shape {x.shape}, expected {(model.n,)}")
     if barrier.n != model.n:
         raise DimensionError(f"barrier dimension {barrier.n} != model dimension {model.n}")
-    grad = np.asarray(barrier.gradient(x), dtype=float)
-    hess = np.asarray(barrier.hessian(x), dtype=float)
-    sig = np.asarray(model.sigma(x), dtype=float)
-    c0 = float(grad @ np.asarray(model.f1(x), dtype=float))
-    c0 += 0.5 * float(np.einsum("ik,ij,jk->", sig, hess, sig))
-    c = grad @ np.asarray(model.f2(x), dtype=float)
-    return GeneratorDecomposition(c0=c0, c=np.asarray(c, dtype=float))
+    c0, c, *_ = generator_batch(model, barrier, x[None, :])
+    return GeneratorDecomposition(c0=float(c0[0]), c=c[0])
 
 
 def generator_value(decomp: GeneratorDecomposition, u: np.ndarray) -> float:

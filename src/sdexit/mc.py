@@ -1,15 +1,14 @@
 """Monte Carlo estimation of target-hit probabilities.
 
 Paths are independent and individually seeded (see sim.derive_path_seed),
-so the estimate depends only on (master_seed, n_paths) and not on chunking
-or worker count: tallies are order-independent integer sums.  Uncertainty is
-reported as a Wilson score interval, by default at z = 3.
+so the estimate depends only on (master_seed, n_paths) and not on chunking:
+tallies are order-independent integer sums.  Uncertainty is reported as a
+Wilson score interval, by default at z = 3.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,34 +64,20 @@ def estimate_exit_probability(
     *,
     z: float = 3.0,
     chunk_size: int = 2048,
-    workers: int = 1,
 ) -> McSummary:
     """Estimate P(hit target within horizon) over n_paths seeded paths."""
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
     if chunk_size < 1:
         raise DomainError("chunk_size must be at least 1")
-    ranges = [(lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)]
-
-    def tally(bounds: tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
+    n_target = n_unsafe = n_timeout = 0
+    for lo in range(0, n_paths, chunk_size):
+        hi = min(lo + chunk_size, n_paths)
         seeds = [derive_path_seed(master_seed, i) for i in range(lo, hi)]
         res = run_paths(model, spec, x0, dt, horizon, seeds, record=False)
-        return np.array(
-            [
-                int(np.sum(res.kind == _CODE_TARGET)),
-                int(np.sum(res.kind == _CODE_UNSAFE)),
-                int(np.sum(res.kind == _CODE_TIMEOUT)),
-            ]
-        )
-
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(tally, ranges))
-    else:
-        counts = sum(tally(r) for r in ranges)
-
-    n_target, n_unsafe, n_timeout = (int(v) for v in counts)
+        n_target += int(np.sum(res.kind == _CODE_TARGET))
+        n_unsafe += int(np.sum(res.kind == _CODE_UNSAFE))
+        n_timeout += int(np.sum(res.kind == _CODE_TIMEOUT))
     estimate = n_target / n_paths
     ci_lo, ci_hi = wilson_interval(n_target, n_paths, z)
     return McSummary(

@@ -6,10 +6,11 @@ A model is the data of the controlled SDE
 
 given by three evaluators: the uncontrolled drift ``f1`` (n,), the control
 matrix ``f2`` (n, m), and the diffusion matrix ``sigma`` (n, k).  States and
-controls are plain numpy arrays.  All built-in evaluators broadcast over a
-leading batch axis (input (..., n) gives outputs (..., n), (..., n, m),
-(..., n, k)), which the batched simulator relies on; models marked
-``vectorized=False`` are evaluated one state at a time instead.
+controls are plain numpy arrays.  Evaluators must broadcast over a leading
+batch axis: input (..., n) gives outputs (..., n), (..., n, m), (..., n, k),
+and a barrier's value, gradient and Hessian give (...,), (..., n),
+(..., n, n).  Single-state entry points evaluate at a batch of one, so a
+state gets the same bits alone as inside a simulated batch.
 
 A barrier is a twice continuously differentiable scalar function with
 analytic gradient and Hessian.  Region semantics (safe set, target level set)
@@ -77,7 +78,6 @@ class SdeModel:
     f2: Callable[[np.ndarray], np.ndarray]
     sigma: Callable[[np.ndarray], np.ndarray]
     control_box: ControlBox
-    vectorized: bool = True
     name: str = ""
 
     def __post_init__(self):
@@ -95,7 +95,6 @@ class BarrierFunction:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     n: int
-    vectorized: bool = True
     name: str = ""
 
 

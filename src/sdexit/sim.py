@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .generator import generator_batch
 from .model import BarrierFunction, SdeModel
 from .synthesis import ProblemSpec, ProblemVariant, certificate_solve
 
@@ -101,17 +102,30 @@ class BatchOutcomes:
         return _KIND_NAMES[int(code)]
 
 
+def _hits(variant: ProblemVariant, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(target, unsafe) masks of the closed exit conditions; NaN values hit neither."""
+    target = v >= 1.0
+    if variant == ProblemVariant.PROBLEM_I:
+        return target, v <= 0.0
+    return target, np.zeros_like(target)
+
+
 def classify_state(variant: ProblemVariant, barrier: BarrierFunction, x: np.ndarray) -> str:
     """Closed-condition classification of a single state."""
     x = np.asarray(x, dtype=float)
     if x.shape != (barrier.n,):
         raise DimensionError(f"state shape {x.shape}, expected {(barrier.n,)}")
-    value = float(barrier.value(x))
-    if value >= 1.0:
+    target, unsafe = _hits(variant, np.asarray(barrier.value(x[None, :]), dtype=float))
+    if target[0]:
         return HIT_TARGET
-    if variant == ProblemVariant.PROBLEM_I and value <= 0.0:
+    if unsafe[0]:
         return HIT_UNSAFE
     return INTERIOR
+
+
+def _euler_step(xs, f1, f2, sigma, u, dt, dw) -> np.ndarray:
+    """Batched x + (f1 + f2 u) dt + sigma dw; einsum keeps rows independent of P."""
+    return xs + (f1 + np.einsum("pnm,pm->pn", f2, u)) * dt + np.einsum("pnk,pk->pn", sigma, dw)
 
 
 def euler_maruyama_step(
@@ -129,8 +143,11 @@ def euler_maruyama_step(
         raise DimensionError(f"noise shape {dw.shape}, expected {(model.k,)}")
     if dt <= 0:
         raise DomainError("dt must be positive")
-    drift = np.asarray(model.f1(x), dtype=float) + np.asarray(model.f2(x), dtype=float) @ u
-    return x + drift * dt + np.asarray(model.sigma(x), dtype=float) @ dw
+    xs = x[None, :]
+    f1 = np.asarray(model.f1(xs), dtype=float)
+    f2 = np.asarray(model.f2(xs), dtype=float)
+    sigma = np.asarray(model.sigma(xs), dtype=float)
+    return _euler_step(xs, f1, f2, sigma, u[None, :], dt, dw[None, :])[0]
 
 
 def derive_path_seed(master_seed: int, path_index: int) -> int:
@@ -158,37 +175,6 @@ def _grid_steps(horizon: float, dt: float) -> int:
     if abs(ratio - nearest) <= 1e-9 * max(1.0, ratio):
         return int(nearest)
     return int(math.ceil(ratio))  # horizon not a grid multiple: round the grid up
-
-
-def _eval_batch(model: SdeModel, barrier: BarrierFunction, xs: np.ndarray):
-    """Barrier value/derivatives and model fields for a batch of states."""
-    if model.vectorized and barrier.vectorized:
-        return (
-            np.asarray(barrier.value(xs), dtype=float),
-            np.asarray(barrier.gradient(xs), dtype=float),
-            np.asarray(barrier.hessian(xs), dtype=float),
-            np.asarray(model.f1(xs), dtype=float),
-            np.asarray(model.f2(xs), dtype=float),
-            np.asarray(model.sigma(xs), dtype=float),
-        )
-    rows = [
-        (
-            float(barrier.value(x)),
-            np.asarray(barrier.gradient(x), dtype=float),
-            np.asarray(barrier.hessian(x), dtype=float),
-            np.asarray(model.f1(x), dtype=float),
-            np.asarray(model.f2(x), dtype=float),
-            np.asarray(model.sigma(x), dtype=float),
-        )
-        for x in xs
-    ]
-    return tuple(np.stack([r[i] for r in rows]) for i in range(6))
-
-
-def _barrier_values(barrier: BarrierFunction, xs: np.ndarray) -> np.ndarray:
-    if barrier.vectorized:
-        return np.asarray(barrier.value(xs), dtype=float)
-    return np.array([float(barrier.value(x)) for x in xs])
 
 
 def run_paths(
@@ -219,7 +205,6 @@ def run_paths(
     n_paths = len(seeds)
     if n_paths == 0:
         raise DomainError("at least one path seed is required")
-    variant_i = spec.variant == ProblemVariant.PROBLEM_I
     box = model.control_box
     n, m, k = model.n, model.m, model.k
 
@@ -247,10 +232,8 @@ def run_paths(
         live = np.where(alive)[0]
         if live.size:
             xs = states[live]
-            v, grad, hess, f1v, f2v, sgv = _eval_batch(model, spec.barrier, xs)
-            c0 = np.einsum("pn,pn->p", grad, f1v)
-            c0 += 0.5 * np.einsum("pik,pij,pjk->p", sgv, hess, sgv)
-            cvec = np.einsum("pn,pnm->pm", grad, f2v)
+            v = np.asarray(spec.barrier.value(xs), dtype=float)
+            c0, cvec, f1v, f2v, sgv = generator_batch(model, spec.barrier, xs)
             u, a, b, feas = certificate_solve(v, c0, cvec, box, spec)
             if record:
                 rec_controls[live, i] = u
@@ -267,17 +250,14 @@ def run_paths(
         if i == steps:
             break
         if live.size:
-            drift = f1v + np.einsum("pnm,pm->pn", f2v, u)
-            x_new = xs + drift * dt + np.einsum("pnk,pk->pn", sgv, noise[live, i])
+            x_new = _euler_step(xs, f1v, f2v, sgv, u, dt, noise[live, i])
             finite = np.isfinite(x_new).all(axis=1)
             v_new = np.full(live.size, np.nan)
             if finite.any():
-                v_new[finite] = _barrier_values(spec.barrier, x_new[finite])
-            hit_target = finite & (v_new >= 1.0)
-            hit_unsafe = finite & (v_new <= 0.0) if variant_i else np.zeros(live.size, bool)
+                v_new[finite] = spec.barrier.value(x_new[finite])
+            hit_target, hit_unsafe = _hits(spec.variant, v_new)
             blew = ~finite
-            ok = finite
-            states[live[ok]] = x_new[ok]
+            states[live[finite]] = x_new[finite]
             done = hit_target | hit_unsafe | blew
             if done.any():
                 kind[live[hit_target]] = _CODE_TARGET

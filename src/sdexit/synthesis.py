@@ -22,7 +22,7 @@ on the optimal objective; tests enforce this on random states.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -95,6 +95,29 @@ class SynthesisResult:
     lp_objective: float
 
 
+def _certificate_lp(
+    decomp: GeneratorDecomposition,
+    value: float,
+    spec: ProblemSpec,
+    box: ControlBox,
+    ab_lo: list[float],
+    ab_hi: list[float],
+) -> LpProblem:
+    """Certificate LP over z = (u_1..u_m, a, b) with (a, b) boxed by ab_lo/ab_hi."""
+    m = decomp.c.shape[0]
+    if box.m != m:
+        raise DimensionError("control box does not match generator decomposition")
+    row_gen = np.concatenate([-decomp.c, [value, -1.0]])
+    row_margin = np.concatenate([np.zeros(m), [-1.0, 1.0]])
+    return LpProblem(
+        objective=np.concatenate([np.zeros(m), [1.0, -spec.weight_w]]),
+        rows=np.vstack([row_gen, row_margin]),
+        rhs=np.array([decomp.c0, -spec.strict_margin_eps]),
+        lo=np.concatenate([box.lo, ab_lo]),
+        hi=np.concatenate([box.hi, ab_hi]),
+    )
+
+
 def build_lp_problem_i(
     decomp: GeneratorDecomposition,
     h_value: float,
@@ -104,18 +127,7 @@ def build_lp_problem_i(
     """Variant-I certificate LP over z = (u_1..u_m, a, b)."""
     if not 0.0 < h_value < 1.0:
         warnings.warn(f"variant-I synthesis at h = {h_value}, outside (0, 1)", stacklevel=2)
-    m = decomp.c.shape[0]
-    if box.m != m:
-        raise DimensionError("control box does not match generator decomposition")
-    row_gen = np.concatenate([-decomp.c, [h_value, -1.0]])
-    row_margin = np.concatenate([np.zeros(m), [-1.0, 1.0]])
-    return LpProblem(
-        objective=np.concatenate([np.zeros(m), [1.0, -spec.weight_w]]),
-        rows=np.vstack([row_gen, row_margin]),
-        rhs=np.array([decomp.c0, -spec.strict_margin_eps]),
-        lo=np.concatenate([box.lo, [-np.inf, 0.0]]),
-        hi=np.concatenate([box.hi, [spec.delta, np.inf]]),
-    )
+    return _certificate_lp(decomp, h_value, spec, box, [-np.inf, 0.0], [spec.delta, np.inf])
 
 
 def build_lp_problem_ii(
@@ -127,18 +139,8 @@ def build_lp_problem_ii(
     """Variant-II certificate LP over z = (u_1..u_m, a, b); b may be negative."""
     if g_value >= 1.0:
         warnings.warn(f"variant-II synthesis at g = {g_value} >= 1", stacklevel=2)
-    m = decomp.c.shape[0]
-    if box.m != m:
-        raise DimensionError("control box does not match generator decomposition")
-    row_gen = np.concatenate([-decomp.c, [g_value, -1.0]])
-    row_margin = np.concatenate([np.zeros(m), [-1.0, 1.0]])
-    return LpProblem(
-        objective=np.concatenate([np.zeros(m), [1.0, -spec.weight_w]]),
-        rows=np.vstack([row_gen, row_margin]),
-        rhs=np.array([decomp.c0, -spec.strict_margin_eps]),
-        lo=np.concatenate([box.lo, [-spec.delta, -spec.delta]]),
-        hi=np.concatenate([box.hi, [spec.delta, spec.delta]]),
-    )
+    delta = spec.delta
+    return _certificate_lp(decomp, g_value, spec, box, [-delta, -delta], [delta, delta])
 
 
 def fallback_control(decomp: GeneratorDecomposition, box: ControlBox) -> np.ndarray:
@@ -158,6 +160,16 @@ def _fallback_result(decomp: GeneratorDecomposition, box: ControlBox) -> Synthes
     )
 
 
+def _state_terms(
+    model: SdeModel, spec: ProblemSpec, x: np.ndarray
+) -> tuple[GeneratorDecomposition, float]:
+    """Generator decomposition and barrier value at x, as run_paths computes them."""
+    x = np.asarray(x, dtype=float)
+    decomp = generator_decompose(model, spec.barrier, x)
+    v = float(np.asarray(spec.barrier.value(x[None, :]), dtype=float)[0])
+    return decomp, v
+
+
 def synthesize_control(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> SynthesisResult:
     """Solve the certificate LP at state x through the dense simplex.
 
@@ -166,42 +178,23 @@ def synthesize_control(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> Syn
     LP with objective a - w b.  Any non-optimal LP status degrades to the
     bang-bang fallback control with NaN certificate.
     """
-    x = np.asarray(x, dtype=float)
-    decomp = generator_decompose(model, spec.barrier, x)
-    v = float(spec.barrier.value(x))
+    decomp, v = _state_terms(model, spec, x)
     box = model.control_box
     build = build_lp_problem_i if spec.variant == ProblemVariant.PROBLEM_I else build_lp_problem_ii
     prob = build(decomp, v, spec, box)
     m = box.m
 
     if spec.weight_w >= spec.lexicographic_threshold:
-        stage1 = LpProblem(
-            objective=np.concatenate([np.zeros(m), [0.0, -1.0]]),
-            rows=prob.rows,
-            rhs=prob.rhs,
-            lo=prob.lo,
-            hi=prob.hi,
-        )
-        sol1 = lp_solve(stage1)
-        if sol1.status != OPTIMAL:
-            return _fallback_result(decomp, box)
-        b_star = float(sol1.z[m + 1])
-        hi2 = prob.hi.copy()
-        hi2[m + 1] = min(hi2[m + 1], b_star + STAGE2_B_TOL)
-        stage2 = LpProblem(
-            objective=np.concatenate([np.zeros(m), [1.0, 0.0]]),
-            rows=prob.rows,
-            rhs=prob.rhs,
-            lo=prob.lo,
-            hi=hi2,
-        )
-        sol = lp_solve(stage2)
-        if sol.status != OPTIMAL:
-            return _fallback_result(decomp, box)
+        sol = lp_solve(replace(prob, objective=np.concatenate([np.zeros(m), [0.0, -1.0]])))
+        if sol.status == OPTIMAL:
+            hi2 = prob.hi.copy()
+            hi2[m + 1] = min(hi2[m + 1], float(sol.z[m + 1]) + STAGE2_B_TOL)
+            stage2 = replace(prob, objective=np.concatenate([np.zeros(m), [1.0, 0.0]]), hi=hi2)
+            sol = lp_solve(stage2)
     else:
         sol = lp_solve(prob)
-        if sol.status != OPTIMAL:
-            return _fallback_result(decomp, box)
+    if sol.status != OPTIMAL:
+        return _fallback_result(decomp, box)
 
     z = sol.z
     u = np.clip(z[:m], box.lo, box.hi)
@@ -326,9 +319,7 @@ def certificate_solve(
 
 def synthesize_control_fast(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> SynthesisResult:
     """Reduced-kernel counterpart of synthesize_control (same result type)."""
-    x = np.asarray(x, dtype=float)
-    decomp = generator_decompose(model, spec.barrier, x)
-    v = float(spec.barrier.value(x))
+    decomp, v = _state_terms(model, spec, x)
     u, a, b, feasible = certificate_solve(
         np.array([v]), np.array([decomp.c0]), decomp.c[None, :], model.control_box, spec
     )

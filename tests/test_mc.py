@@ -93,7 +93,7 @@ def test_tallies_partition_paths():
     assert res.master_seed == 11
 
 
-def test_result_independent_of_chunking_and_workers():
+def test_result_independent_of_chunking():
     m = acc_model()
     spec = scenario_spec(2, w=1.0)
     x0 = np.array([-0.5, 1.5])
@@ -101,10 +101,10 @@ def test_result_independent_of_chunking_and_workers():
     odd_chunks = estimate_exit_probability(
         m, spec, x0, 0.02, 1.0, 300, 17, chunk_size=37
     )
-    threaded = estimate_exit_probability(
-        m, spec, x0, 0.02, 1.0, 300, 17, chunk_size=64, workers=4
+    wide_chunks = estimate_exit_probability(
+        m, spec, x0, 0.02, 1.0, 300, 17, chunk_size=64
     )
-    for other in (odd_chunks, threaded):
+    for other in (odd_chunks, wide_chunks):
         assert other.n_target == base.n_target
         assert other.n_unsafe == base.n_unsafe
         assert other.n_timeout == base.n_timeout

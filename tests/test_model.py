@@ -144,7 +144,6 @@ def test_derivative_check_catches_wrong_gradient():
         gradient=lambda x: base.gradient(x) * 1.01,
         hessian=base.hessian,
         n=2,
-        vectorized=base.vectorized,
     )
     res = check_barrier_derivatives(broken, np.array([1.3, -0.4]))
     assert not res["ok"]
@@ -158,7 +157,6 @@ def test_derivative_check_catches_wrong_hessian():
         gradient=base.gradient,
         hessian=lambda x: base.hessian(x) + 0.01 * np.eye(2),
         n=2,
-        vectorized=base.vectorized,
     )
     res = check_barrier_derivatives(broken, np.array([2.0, 2.0]))
     assert not res["ok"]

@@ -20,12 +20,16 @@ from sdexit import (
     derive_path_seed,
     deterministic_1d_model,
     euler_maruyama_step,
+    generator_batch,
+    generator_decompose,
     linear_model,
     quadratic_barrier,
     run_paths,
     scenario_barrier,
     simulate_path,
+    synthesize_control_fast,
 )
+from sdexit.sim import _euler_step
 
 
 def _identity_barrier():
@@ -201,7 +205,7 @@ def test_blowup_marks_unsafe_with_flag():
     m = SdeModel(
         n=1, m=1, k=1, f1=drift, f2=control_mat, sigma=diffusion,
         control_box=ControlBox(lo=np.array([0.0]), hi=np.array([0.0])),
-        vectorized=True, name="explosive",
+        name="explosive",
     )
     spec = ProblemSpec(
         variant=ProblemVariant.PROBLEM_II,
@@ -221,3 +225,44 @@ def test_horizon_not_multiple_of_dt_rounds_grid_up():
     # 1.0/0.3 -> 4 steps of 0.3 covering 1.2
     assert traj.times.shape == (5,)
     assert traj.times[-1] == pytest.approx(1.2, rel=1e-12)
+
+
+def _bit_identity_case(name):
+    """(model, spec, states) for an acc model or a random 3-d linear model."""
+    rng = np.random.default_rng(20261018)
+    if name == "acc":
+        spec = ProblemSpec(ProblemVariant.PROBLEM_I, scenario_barrier(2), 1.0, 10.0)
+        return acc_model(), spec, rng.uniform(-3.0, 3.0, size=(400, 2))
+    n = 3
+    q = rng.normal(size=(n, n))
+    model = linear_model(
+        rng.normal(size=(n, n)), rng.normal(size=n), rng.normal(size=(n, 2)),
+        rng.normal(size=(n, 3)), -np.ones(2), np.ones(2),
+    )
+    barrier = quadratic_barrier(q @ q.T / 8.0, rng.normal(size=n) / 4.0, -0.5)
+    spec = ProblemSpec(ProblemVariant.PROBLEM_II, barrier, 1e12, 10.0)
+    return model, spec, rng.normal(size=(400, n))
+
+
+@pytest.mark.parametrize("name", ["acc", "linear3d"])
+def test_single_state_entry_points_equal_batched_rows(name):
+    """A state alone gives bit for bit what it gives as one row of a batch."""
+    model, spec, xs = _bit_identity_case(name)
+    rng = np.random.default_rng(1)
+    us = rng.uniform(-1.0, 1.0, size=(len(xs), model.m))
+    dws = rng.normal(scale=0.1, size=(len(xs), model.k))
+    c0, c, f1, f2, sigma = generator_batch(model, spec.barrier, xs)
+    stepped = _euler_step(xs, f1, f2, sigma, us, 0.01, dws)
+    interior = 0
+    for i, x in enumerate(xs):
+        decomp = generator_decompose(model, spec.barrier, x)
+        assert decomp.c0 == c0[i] and np.array_equal(decomp.c, c[i])
+        assert np.array_equal(euler_maruyama_step(model, x, us[i], 0.01, dws[i]), stepped[i])
+        if classify_state(spec.variant, spec.barrier, x) != INTERIOR:
+            continue
+        interior += 1
+        fast = synthesize_control_fast(model, spec, x)
+        traj = simulate_path(model, spec, x, 0.01, 0.01, path_seed=i)
+        assert np.array_equal(fast.u, traj.controls[0])
+        assert np.array_equal([fast.a, fast.b], [traj.cert_a[0], traj.cert_b[0]], equal_nan=True)
+    assert interior > 200
