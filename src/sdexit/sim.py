@@ -8,12 +8,14 @@ state, control and certificate are carried forward unchanged to the end of
 the grid, mirroring the stopped process whose generator vanishes on the
 boundary.
 
-Noise is reproducible per path: a 64-bit path seed feeds PCG64, and the
-whole (n_steps, k) standard-normal block is drawn in one call (numpy fills
-such arrays sequentially, so shorter horizons see a prefix of longer ones,
-which couples estimates across horizons).  Monte Carlo path seeds derive
-from (master_seed, path_index) via a splitmix64-style mix; see
-``derive_path_seed``.
+Noise is reproducible per path: a 64-bit path seed feeds one PCG64
+generator, which draws the path's standard normals in blocks of 256 steps,
+and only while the path is live.  numpy fills arrays sequentially, so the
+blocks concatenate bit for bit to the single (n_steps, k) draw: shorter
+horizons see a prefix of longer ones, which couples estimates across
+horizons, and noise memory is paths x block, not paths x horizon.  Monte
+Carlo path seeds derive from (master_seed, path_index) via a splitmix64-style
+mix; see ``derive_path_seed``.
 
 A non-finite state after a step marks the path as an unsafe-equivalent
 failure with the ``blowup`` flag set and freezes it at the last finite state.
@@ -60,6 +62,7 @@ _CODE_TIMEOUT, _CODE_TARGET, _CODE_UNSAFE = 0, 1, 2
 _KIND_NAMES = {_CODE_TIMEOUT: TIMEOUT, _CODE_TARGET: EXITED_TARGET, _CODE_UNSAFE: EXITED_UNSAFE}
 
 _MASK64 = (1 << 64) - 1
+_NOISE_BLOCK = 256  # time steps of noise drawn per live path at a time
 
 
 @dataclass(frozen=True)
@@ -214,11 +217,9 @@ def run_paths(
     exit_time = np.full(n_paths, np.nan)
     blowup = np.zeros(n_paths, dtype=bool)
 
-    noise = np.empty((n_paths, steps, k))
-    for i, seed in enumerate(seeds):
-        gen = np.random.Generator(np.random.PCG64(seed))
-        noise[i] = gen.standard_normal((steps, k))
-    noise *= math.sqrt(dt)
+    gens = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    sqrt_dt = math.sqrt(dt)
+    noise = np.empty((n_paths, min(_NOISE_BLOCK, steps), k))  # row p: path p's current block
 
     if record:
         rec_states = np.empty((n_paths, steps + 1, n))
@@ -250,7 +251,14 @@ def run_paths(
         if i == steps:
             break
         if live.size:
-            x_new = _euler_step(xs, f1v, f2v, sgv, u, dt, noise[live, i])
+            j = i % _NOISE_BLOCK
+            if j == 0:
+                block = noise[:, : min(_NOISE_BLOCK, steps - i)]
+                for p in live.tolist():
+                    row = block[p]
+                    gens[p].standard_normal(out=row)
+                    row *= sqrt_dt
+            x_new = _euler_step(xs, f1v, f2v, sgv, u, dt, noise[live, j])
             finite = np.isfinite(x_new).all(axis=1)
             v_new = np.full(live.size, np.nan)
             if finite.any():
@@ -268,7 +276,11 @@ def run_paths(
                 alive[live[done]] = False
         if record:
             rec_states[:, i + 1] = states
-        elif not alive.any():
+        if not alive.any():
+            if record:  # every later row is frozen: broadcast the last one
+                rec_states[:, i + 2 :] = states[:, None]
+                for rec in (rec_controls, rec_a, rec_b, rec_feas):
+                    rec[:, i + 1 :] = rec[:, i : i + 1]
             break
 
     if record:

@@ -1,5 +1,7 @@
 """Stopped-process simulator: exits, freezing, determinism, grid integrity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import scenario_spec
@@ -266,3 +268,58 @@ def test_single_state_entry_points_equal_batched_rows(name):
         assert np.array_equal(fast.u, traj.controls[0])
         assert np.array_equal([fast.a, fast.b], [traj.cert_a[0], traj.cert_b[0]], equal_nan=True)
     assert interior > 200
+
+
+def _reference_states(model, spec, x0, dt, steps, seed):
+    """Plain loop over the single-state APIs with the whole horizon's noise drawn at once."""
+    dw = np.random.Generator(np.random.PCG64(seed)).standard_normal((steps, model.k)) * np.sqrt(dt)
+    states = np.empty((steps + 1, model.n))
+    states[0] = x0
+    for i in range(steps):
+        x = states[i]
+        if classify_state(spec.variant, spec.barrier, x) != INTERIOR:
+            states[i + 1] = x
+            continue
+        u = synthesize_control_fast(model, spec, x).u
+        states[i + 1] = euler_maruyama_step(model, x, u, dt, dw[i])
+    return states
+
+
+def test_blocked_noise_equals_one_shot_draw():
+    """Noise drawn in 256-step blocks per live path equals one (steps, k) draw, bit for bit."""
+    # k = 2; paths exit in the first block, in the second, or not at all
+    model = linear_model(
+        [[-0.05, 0.0], [0.02, -0.05]], [0.0, 0.0], [[0.1], [0.0]],
+        [[0.3, 0.1], [0.0, 0.3]], [-1.0], [1.0],
+    )
+    spec = ProblemSpec(ProblemVariant.PROBLEM_I, quadratic_barrier(None, [0.5, 0.5], 0.5), 1.0, 10.0)
+    x0, dt = np.zeros(2), 0.01
+    steps = 2 * 256 + 37  # three blocks, the last one short
+    seeds = [derive_path_seed(3, i) for i in range(12)]
+    batch = run_paths(model, spec, x0, dt, steps * dt, seeds, record=True)
+    exit_steps = np.rint(batch.exit_time / dt)
+    assert np.any(exit_steps < 256)  # exited inside the first block
+    assert np.any(np.isnan(exit_steps))  # still live after two blocks
+    for i, seed in enumerate(seeds):
+        single = simulate_path(model, spec, x0, dt, steps * dt, path_seed=seed)
+        assert single.states.shape == (steps + 1, 2)
+        assert np.array_equal(single.states, _reference_states(model, spec, x0, dt, steps, seed))
+        assert np.array_equal(batch.states[i], single.states)
+        assert np.array_equal(batch.controls[i], single.controls)
+        assert np.array_equal(batch.cert_a[i], single.cert_a, equal_nan=True)
+        assert np.array_equal(batch.cert_b[i], single.cert_b, equal_nan=True)
+        assert np.array_equal(batch.cert_feasible[i], single.cert_feasible)
+
+
+def test_noise_memory_does_not_grow_with_horizon():
+    """Paths that exit early never hold noise for the rest of a long horizon."""
+    m = deterministic_1d_model(rate=1.0)  # exits at t = 0.5 from x0 = 0.5
+    seeds = [derive_path_seed(4, i) for i in range(64)]
+    tracemalloc.start()
+    try:
+        res = run_paths(m, _spec_1d(), np.array([0.5]), 1e-3, 50.0, seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(res.kind_name(code) == EXITED_TARGET for code in res.kind)
+    assert peak < 4e6  # one whole-horizon draw would be 64 * 50000 * 8 B = 25.6 MB
