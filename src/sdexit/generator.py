@@ -7,10 +7,10 @@ generator applied to v at x is affine in the control:
                 + 0.5 tr(sigma(x)' hess_v(x) sigma(x))
               = c0(x) + c(x) . u
 
-The decomposition (c0, c) is what the per-state synthesis LP consumes.
-``generator_batch`` computes it for a batch of states; the single-state
-``generator_decompose`` is its P = 1 case, so a state gets the same bits
-alone as inside a simulated batch.
+The decomposition (c0, c) is what the per-state synthesis LP consumes; the
+control law needs only c.  ``control_terms`` computes c for a batch of
+states, ``generator_batch`` adds c0, and ``generator_decompose`` is its P = 1
+case, so a state gets the same bits alone as inside a simulated batch.
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ import numpy as np
 from .errors import DimensionError
 from .model import BarrierFunction, SdeModel
 
-__all__ = ["GeneratorDecomposition", "generator_batch", "generator_decompose", "generator_value"]
+__all__ = [
+    "GeneratorDecomposition",
+    "control_terms",
+    "generator_batch",
+    "generator_decompose",
+    "generator_value",
+]
 
 
 @dataclass(frozen=True)
@@ -33,24 +39,30 @@ class GeneratorDecomposition:
     c: np.ndarray
 
 
-def generator_batch(
+def control_terms(
     model: SdeModel, barrier: BarrierFunction, xs: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Generator coefficients at a batch of states xs of shape (P, n).
+    """c = grad_v . f2 of shape (P, m) at states xs (P, n), with the terms it is built from.
 
-    Returns (c0, c, f1, f2, sigma): c0 (P,) and c (P, m), plus the model
-    fields they were built from, which the Euler step reuses.  The einsums
-    keep per-row float operations independent of P.
+    Returns (c, grad, f1, f2, sigma); c alone fixes the bang-bang control.
+    The einsums keep per-row float operations independent of P.
     """
     grad = np.asarray(barrier.gradient(xs), dtype=float)
-    hess = np.asarray(barrier.hessian(xs), dtype=float)
     f1 = np.asarray(model.f1(xs), dtype=float)
     f2 = np.asarray(model.f2(xs), dtype=float)
     sigma = np.asarray(model.sigma(xs), dtype=float)
+    return np.einsum("pn,pnm->pm", grad, f2), grad, f1, f2, sigma
+
+
+def generator_batch(
+    model: SdeModel, barrier: BarrierFunction, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generator coefficients (c0, c) at a batch of states: c0 (P,), c (P, m)."""
+    c, grad, f1, _, sigma = control_terms(model, barrier, xs)
+    hess = np.asarray(barrier.hessian(xs), dtype=float)
     c0 = np.einsum("pn,pn->p", grad, f1)
     c0 += 0.5 * np.einsum("pik,pij,pjk->p", sigma, hess, sigma)
-    c = np.einsum("pn,pnm->pm", grad, f2)
-    return c0, c, f1, f2, sigma
+    return c0, c
 
 
 def generator_decompose(
@@ -62,7 +74,7 @@ def generator_decompose(
         raise DimensionError(f"state shape {x.shape}, expected {(model.n,)}")
     if barrier.n != model.n:
         raise DimensionError(f"barrier dimension {barrier.n} != model dimension {model.n}")
-    c0, c, *_ = generator_batch(model, barrier, x[None, :])
+    c0, c = generator_batch(model, barrier, x[None, :])
     return GeneratorDecomposition(c0=float(c0[0]), c=c[0])
 
 

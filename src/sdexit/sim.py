@@ -1,15 +1,15 @@
-"""Stopped Euler-Maruyama simulation under per-step synthesized control.
+"""Stopped Euler-Maruyama simulation under the bang-bang control law.
 
-Each path integrates dx = (f1 + f2 u) dt + sigma dW on a uniform grid,
-re-synthesizing the control at every step.  After each step the state is
-classified against closed conditions (variant I: h >= 1 target, h <= 0
-unsafe; variant II: g >= 1 target); on the first hit the path freezes: the
-state, control and certificate are carried forward unchanged to the end of
-the grid, mirroring the stopped process whose generator vanishes on the
-boundary.
+Each path integrates dx = (f1 + f2 u) dt + sigma dW on a uniform grid with
+u = bang_bang(grad_v . f2), the certificate LP's control whether the LP is
+feasible or not, so a step needs neither the LP nor the barrier's Hessian.
+After each step the state is classified against closed conditions (variant
+I: h >= 1 target, h <= 0 unsafe; variant II: g >= 1 target); on the first
+hit the path freezes, mirroring the stopped process whose generator vanishes
+on the boundary.  A recorded path's certificates are solved after the loop.
 
 Noise is reproducible per path: a 64-bit path seed feeds one PCG64
-generator, which draws the path's standard normals in blocks of 256 steps,
+generator, which draws the path's standard normals in blocks of 128 steps,
 and only while the path is live.  numpy fills arrays sequentially, so the
 blocks concatenate bit for bit to the single (n_steps, k) draw: shorter
 horizons see a prefix of longer ones, which couples estimates across
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .generator import generator_batch
+from .generator import control_terms, generator_batch
 from .model import BarrierFunction, SdeModel
-from .synthesis import ProblemSpec, ProblemVariant, certificate_solve
+from .synthesis import ProblemSpec, ProblemVariant, bang_bang, certificate_solve
 
 __all__ = [
     "INTERIOR",
@@ -62,7 +62,7 @@ _CODE_TIMEOUT, _CODE_TARGET, _CODE_UNSAFE = 0, 1, 2
 _KIND_NAMES = {_CODE_TIMEOUT: TIMEOUT, _CODE_TARGET: EXITED_TARGET, _CODE_UNSAFE: EXITED_UNSAFE}
 
 _MASK64 = (1 << 64) - 1
-_NOISE_BLOCK = 256  # time steps of noise drawn per live path at a time
+_NOISE_BLOCK = 128  # time steps of noise drawn per live path at a time
 
 
 @dataclass(frozen=True)
@@ -189,12 +189,12 @@ def run_paths(
     path_seeds,
     record: bool = False,
 ) -> BatchOutcomes:
-    """Simulate one path per seed in vectorized lockstep.
+    """Simulate one path per seed in vectorized lockstep under bang-bang control.
 
     Every path is a deterministic function of its own seed, so results are
     identical however the seeds are grouped into batches.  With record=True
     the full per-path grids (states, controls, certificates) are returned;
-    frozen rows repeat the exit state and the last synthesized values.
+    frozen rows repeat the exit state and the last live row's values.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
@@ -209,94 +209,74 @@ def run_paths(
     if n_paths == 0:
         raise DomainError("at least one path seed is required")
     box = model.control_box
-    n, m, k = model.n, model.m, model.k
+    n, k = model.n, model.k
 
     states = np.repeat(x0[None, :], n_paths, axis=0)
-    alive = np.ones(n_paths, dtype=bool)
+    live = np.arange(n_paths)  # rows of the paths not yet stopped
+    last = np.full(n_paths, steps)  # last live row: the step a path exits in, else the grid end
     kind = np.full(n_paths, _CODE_TIMEOUT, dtype=np.int8)
-    exit_time = np.full(n_paths, np.nan)
     blowup = np.zeros(n_paths, dtype=bool)
 
     gens = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
     sqrt_dt = math.sqrt(dt)
     noise = np.empty((n_paths, min(_NOISE_BLOCK, steps), k))  # row p: path p's current block
-
     if record:
-        rec_states = np.empty((n_paths, steps + 1, n))
+        rec_states = np.empty((n_paths, steps + 1, n))  # rows past last + 1 are never written
         rec_states[:, 0] = states
-        rec_controls = np.zeros((n_paths, steps + 1, m))
-        rec_a = np.full((n_paths, steps + 1), np.nan)
-        rec_b = np.full((n_paths, steps + 1), np.nan)
-        rec_feas = np.zeros((n_paths, steps + 1), dtype=bool)
 
-    for i in range(steps + 1):
-        live = np.where(alive)[0]
-        if live.size:
-            xs = states[live]
-            v = np.asarray(spec.barrier.value(xs), dtype=float)
-            c0, cvec, f1v, f2v, sgv = generator_batch(model, spec.barrier, xs)
-            u, a, b, feas = certificate_solve(v, c0, cvec, box, spec)
-            if record:
-                rec_controls[live, i] = u
-                rec_a[live, i] = a
-                rec_b[live, i] = b
-                rec_feas[live, i] = feas
-        if record and i > 0:
-            frozen = np.where(~alive)[0]
-            if frozen.size:
-                rec_controls[frozen, i] = rec_controls[frozen, i - 1]
-                rec_a[frozen, i] = rec_a[frozen, i - 1]
-                rec_b[frozen, i] = rec_b[frozen, i - 1]
-                rec_feas[frozen, i] = rec_feas[frozen, i - 1]
-        if i == steps:
+    for i in range(steps):
+        if not live.size:
             break
-        if live.size:
-            j = i % _NOISE_BLOCK
-            if j == 0:
-                block = noise[:, : min(_NOISE_BLOCK, steps - i)]
-                for p in live.tolist():
-                    row = block[p]
-                    gens[p].standard_normal(out=row)
-                    row *= sqrt_dt
-            x_new = _euler_step(xs, f1v, f2v, sgv, u, dt, noise[live, j])
-            finite = np.isfinite(x_new).all(axis=1)
-            v_new = np.full(live.size, np.nan)
-            if finite.any():
-                v_new[finite] = spec.barrier.value(x_new[finite])
-            hit_target, hit_unsafe = _hits(spec.variant, v_new)
-            blew = ~finite
-            states[live[finite]] = x_new[finite]
-            done = hit_target | hit_unsafe | blew
-            if done.any():
-                kind[live[hit_target]] = _CODE_TARGET
-                kind[live[hit_unsafe]] = _CODE_UNSAFE
-                kind[live[blew]] = _CODE_UNSAFE
-                blowup[live[blew]] = True
-                exit_time[live[done]] = (i + 1) * dt
-                alive[live[done]] = False
+        xs = states[live]
+        cvec, _, f1v, f2v, sgv = control_terms(model, spec.barrier, xs)
+        j = i % _NOISE_BLOCK
+        if j == 0:
+            block = noise[:, : min(_NOISE_BLOCK, steps - i)]
+            for p in live.tolist():
+                row = block[p]
+                gens[p].standard_normal(out=row)
+                row *= sqrt_dt
+        x_new = _euler_step(xs, f1v, f2v, sgv, bang_bang(cvec, box), dt, noise[live, j])
+        finite = np.isfinite(x_new).all(axis=1)
+        v_new = np.full(live.size, np.nan)
+        if finite.any():
+            v_new[finite] = spec.barrier.value(x_new[finite])
+        hit_target, hit_unsafe = _hits(spec.variant, v_new)
+        blew = ~finite
+        states[live[finite]] = x_new[finite]
         if record:
-            rec_states[:, i + 1] = states
-        if not alive.any():
-            if record:  # every later row is frozen: broadcast the last one
-                rec_states[:, i + 2 :] = states[:, None]
-                for rec in (rec_controls, rec_a, rec_b, rec_feas):
-                    rec[:, i + 1 :] = rec[:, i : i + 1]
-            break
+            rec_states[live, i + 1] = states[live]
+        done = hit_target | hit_unsafe | blew
+        if done.any():
+            kind[live[hit_target]] = _CODE_TARGET
+            kind[live[hit_unsafe]] = _CODE_UNSAFE
+            kind[live[blew]] = _CODE_UNSAFE
+            blowup[live[blew]] = True
+            last[live[done]] = i
+            live = live[~done]
 
-    if record:
-        times = np.arange(steps + 1) * dt
-        return BatchOutcomes(
-            kind=kind,
-            exit_time=exit_time,
-            blowup=blowup,
-            times=times,
-            states=rec_states,
-            controls=rec_controls,
-            cert_a=rec_a,
-            cert_b=rec_b,
-            cert_feasible=rec_feas,
-        )
-    return BatchOutcomes(kind=kind, exit_time=exit_time, blowup=blowup)
+    exit_time = np.where(kind == _CODE_TIMEOUT, np.nan, (last + 1) * dt)
+    if not record:
+        return BatchOutcomes(kind=kind, exit_time=exit_time, blowup=blowup)
+    # A certificate depends only on its state: solve each path's live rows
+    # 0..last in one batch, path after path; a frozen row repeats row last.
+    rows = np.arange(steps + 1)
+    xs = rec_states[rows <= last[:, None]]
+    c0, cvec = generator_batch(model, spec.barrier, xs)
+    u, a, b, feas = certificate_solve(spec.barrier.value(xs), c0, cvec, box, spec)
+    solved = (np.cumsum(last + 1) - (last + 1))[:, None] + np.minimum(rows, last[:, None])
+    state_rows = np.minimum(rows, last[:, None] + 1)  # the exit state is row last + 1
+    return BatchOutcomes(
+        kind=kind,
+        exit_time=exit_time,
+        blowup=blowup,
+        times=rows * dt,
+        states=np.take_along_axis(rec_states, state_rows[:, :, None], axis=1),
+        controls=u[solved],
+        cert_a=a[solved],
+        cert_b=b[solved],
+        cert_feasible=feas[solved],
+    )
 
 
 def simulate_path(

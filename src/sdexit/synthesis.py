@@ -11,12 +11,13 @@ variant II boxes both a and b into [-delta, delta] so b may go negative.
 Large w (>= lexicographic_threshold) switches to a two-stage solve: minimize
 b first, then maximize a with b capped at its optimum plus a small tolerance.
 
-``synthesize_control`` runs this through the dense simplex.  The simulator
-instead calls the reduced kernel ``certificate_solve``: the control enters a
-single row with zero objective weight, so u can always be taken bang-bang
-(argmax of c.u) and the LP collapses to two variables (a, b), solved exactly
-by enumerating the vertices of the constraint polygon.  The two routes agree
-on the optimal objective; tests enforce this on random states.
+``synthesize_control`` runs this through the dense simplex.  The control
+enters a single row with zero objective weight, so u can always be taken
+bang-bang (``bang_bang``, argmax of c.u, feasible or not) and the LP
+collapses to two variables (a, b), which the reduced kernel
+``certificate_solve`` solves exactly by enumerating the vertices of the
+constraint polygon.  The two routes agree on the optimal objective; tests
+enforce this on random states.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "SynthesisResult",
     "build_lp_problem_i",
     "build_lp_problem_ii",
+    "bang_bang",
     "fallback_control",
     "synthesize_control",
     "certificate_solve",
@@ -143,11 +145,16 @@ def build_lp_problem_ii(
     return _certificate_lp(decomp, g_value, spec, box, [-delta, -delta], [delta, delta])
 
 
+def bang_bang(c: np.ndarray, box: ControlBox) -> np.ndarray:
+    """Maximizer of c.u over the box, for c of shape (..., m): hi_i if c_i > 0 else lo_i."""
+    return np.where(c > 0.0, box.hi, box.lo)
+
+
 def fallback_control(decomp: GeneratorDecomposition, box: ControlBox) -> np.ndarray:
-    """Bang-bang maximizer of the generator: u_i = hi_i if c_i > 0 else lo_i."""
+    """Bang-bang maximizer of the generator at one state."""
     if box.m != decomp.c.shape[0]:
         raise DimensionError("control box does not match generator decomposition")
-    return np.where(decomp.c > 0.0, box.hi, box.lo)
+    return bang_bang(decomp.c, box)
 
 
 def _fallback_result(decomp: GeneratorDecomposition, box: ControlBox) -> SynthesisResult:
@@ -290,7 +297,7 @@ def certificate_solve(
     c0 = np.asarray(c0, dtype=float)
     c = np.asarray(c, dtype=float)
     size = v.shape[0]
-    u = np.where(c > 0.0, box.hi, box.lo)
+    u = bang_bang(c, box)
     gen_max = c0 + np.einsum("pm,pm->p", c, u)
 
     if spec.weight_w >= spec.lexicographic_threshold:

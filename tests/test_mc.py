@@ -1,8 +1,12 @@
 """Monte Carlo estimator: tallies, Wilson intervals, and schedule invariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import scenario_spec
+
+import sdexit.sim
 
 from sdexit import (
     DomainError,
@@ -110,6 +114,21 @@ def test_result_independent_of_chunking():
         assert other.n_timeout == base.n_timeout
         assert other.estimate == base.estimate
         assert other.ci_lo == base.ci_lo and other.ci_hi == base.ci_hi
+
+
+def test_estimate_never_solves_a_certificate(monkeypatch):
+    """Paths step under the bang-bang law alone: no certificate LP, no Hessian."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("certificate stage called during Monte Carlo")
+
+    m = acc_model()
+    spec = scenario_spec(1, w=1.0)
+    x0 = np.array([-0.5, 1.5])
+    expected = estimate_exit_probability(m, spec, x0, 0.02, 1.0, 64, 29)
+    monkeypatch.setattr(sdexit.sim, "certificate_solve", refuse)
+    blind = dataclasses.replace(spec, barrier=dataclasses.replace(spec.barrier, hessian=refuse))
+    assert estimate_exit_probability(m, blind, x0, 0.02, 1.0, 64, 29) == expected
 
 
 def test_same_master_seed_reproduces():

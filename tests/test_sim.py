@@ -9,6 +9,7 @@ from conftest import scenario_spec
 from sdexit import (
     EXITED_TARGET,
     EXITED_UNSAFE,
+    FEASIBLE,
     HIT_TARGET,
     HIT_UNSAFE,
     INTERIOR,
@@ -31,7 +32,8 @@ from sdexit import (
     simulate_path,
     synthesize_control_fast,
 )
-from sdexit.sim import _euler_step
+from sdexit.generator import control_terms
+from sdexit.sim import _NOISE_BLOCK, _euler_step
 
 
 def _identity_barrier():
@@ -253,7 +255,9 @@ def test_single_state_entry_points_equal_batched_rows(name):
     rng = np.random.default_rng(1)
     us = rng.uniform(-1.0, 1.0, size=(len(xs), model.m))
     dws = rng.normal(scale=0.1, size=(len(xs), model.k))
-    c0, c, f1, f2, sigma = generator_batch(model, spec.barrier, xs)
+    c0, c = generator_batch(model, spec.barrier, xs)
+    c_alone, _, f1, f2, sigma = control_terms(model, spec.barrier, xs)
+    assert np.array_equal(c_alone, c)
     stepped = _euler_step(xs, f1, f2, sigma, us, 0.01, dws)
     interior = 0
     for i, x in enumerate(xs):
@@ -270,23 +274,32 @@ def test_single_state_entry_points_equal_batched_rows(name):
     assert interior > 200
 
 
-def _reference_states(model, spec, x0, dt, steps, seed):
-    """Plain loop over the single-state APIs with the whole horizon's noise drawn at once."""
+def _reference_path(model, spec, x0, dt, steps, seed):
+    """Plain loop over the single-state APIs with the whole horizon's noise drawn at once.
+
+    Returns (states, controls, certificates), the last as columns (a, b, feasible).
+    Rows after the exit repeat the exit state and the last live row's control and
+    certificate.
+    """
     dw = np.random.Generator(np.random.PCG64(seed)).standard_normal((steps, model.k)) * np.sqrt(dt)
     states = np.empty((steps + 1, model.n))
+    controls = np.empty((steps + 1, model.m))
+    certs = np.empty((steps + 1, 3))
     states[0] = x0
-    for i in range(steps):
+    for i in range(steps + 1):
         x = states[i]
-        if classify_state(spec.variant, spec.barrier, x) != INTERIOR:
-            states[i + 1] = x
-            continue
-        u = synthesize_control_fast(model, spec, x).u
-        states[i + 1] = euler_maruyama_step(model, x, u, dt, dw[i])
-    return states
+        live = classify_state(spec.variant, spec.barrier, x) == INTERIOR
+        if live:
+            res = synthesize_control_fast(model, spec, x)
+        controls[i] = res.u
+        certs[i] = (res.a, res.b, res.status == FEASIBLE)
+        if i < steps:
+            states[i + 1] = euler_maruyama_step(model, x, res.u, dt, dw[i]) if live else x
+    return states, controls, certs
 
 
 def test_blocked_noise_equals_one_shot_draw():
-    """Noise drawn in 256-step blocks per live path equals one (steps, k) draw, bit for bit."""
+    """Blocked noise and after-the-loop certificates equal a plain per-state loop, bit for bit."""
     # k = 2; paths exit in the first block, in the second, or not at all
     model = linear_model(
         [[-0.05, 0.0], [0.02, -0.05]], [0.0, 0.0], [[0.1], [0.0]],
@@ -294,16 +307,21 @@ def test_blocked_noise_equals_one_shot_draw():
     )
     spec = ProblemSpec(ProblemVariant.PROBLEM_I, quadratic_barrier(None, [0.5, 0.5], 0.5), 1.0, 10.0)
     x0, dt = np.zeros(2), 0.01
-    steps = 2 * 256 + 37  # three blocks, the last one short
+    steps = 2 * _NOISE_BLOCK + 37  # three blocks, the last one short
     seeds = [derive_path_seed(3, i) for i in range(12)]
     batch = run_paths(model, spec, x0, dt, steps * dt, seeds, record=True)
     exit_steps = np.rint(batch.exit_time / dt)
-    assert np.any(exit_steps < 256)  # exited inside the first block
+    assert np.any(exit_steps < _NOISE_BLOCK)  # exited inside the first block
+    assert np.any((exit_steps >= _NOISE_BLOCK) & (exit_steps < 2 * _NOISE_BLOCK))
     assert np.any(np.isnan(exit_steps))  # still live after two blocks
     for i, seed in enumerate(seeds):
         single = simulate_path(model, spec, x0, dt, steps * dt, path_seed=seed)
+        states, controls, certs = _reference_path(model, spec, x0, dt, steps, seed)
         assert single.states.shape == (steps + 1, 2)
-        assert np.array_equal(single.states, _reference_states(model, spec, x0, dt, steps, seed))
+        assert np.array_equal(single.states, states)
+        assert np.array_equal(single.controls, controls)
+        recorded = np.column_stack([single.cert_a, single.cert_b, single.cert_feasible])
+        assert np.array_equal(recorded, certs, equal_nan=True)
         assert np.array_equal(batch.states[i], single.states)
         assert np.array_equal(batch.controls[i], single.controls)
         assert np.array_equal(batch.cert_a[i], single.cert_a, equal_nan=True)

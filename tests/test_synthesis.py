@@ -7,6 +7,7 @@ from conftest import scenario_spec
 from sdexit import (
     FALLBACK,
     FEASIBLE,
+    ControlBox,
     LpProblem,
     ProblemSpec,
     ProblemVariant,
@@ -215,3 +216,25 @@ def test_batch_certificates_match_scalar_calls():
         assert a[i] == pytest.approx(single.a, rel=1e-12, abs=1e-12)
         assert b[i] == pytest.approx(single.b, rel=1e-12, abs=1e-12)
         assert np.array_equal(u[i], single.u)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: the vertex search accepts a breach of b >= -delta within its 1e-9 qtol",
+)
+def test_degenerate_vertex_keeps_strict_margin():
+    """Lexicographic edge w just below 1e6, delta == eps: the optimum is the vertex (delta, -delta)."""
+    spec = ProblemSpec(
+        variant=ProblemVariant.PROBLEM_II,
+        barrier=scenario_barrier(3),
+        weight_w=999999.999999,
+        delta=1e-6,
+        strict_margin_eps=1e-6,
+    )
+    box = ControlBox(lo=np.array([-1.0]), hi=np.array([1.0]))
+    _, a, b, feasible = certificate_solve(
+        np.array([-3.0]), np.array([1e-6]), np.array([[1e-9]]), box, spec
+    )
+    assert feasible[0]
+    assert a[0] - b[0] >= spec.strict_margin_eps  # returns 9.9975e-7 today
+    assert a[0] - spec.weight_w * b[0] >= 1.000000999999 - 1e-12
