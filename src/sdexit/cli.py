@@ -13,13 +13,15 @@ Config files are strict JSON: unknown fields are rejected, booleans are not
 numbers, and every error names the offending field.  Overrides (--paths,
 --seed, --dt, --horizon, -w, --delta) are applied to the raw config before
 validation, so an invalid override fails exactly like an invalid file value.
-Exit codes: 0 success, 1 selftest failure, 2 configuration/usage error.
+Exit codes: 0 success, 1 selftest failure, 2 configuration/usage error or
+an output directory that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -31,7 +33,7 @@ import numpy as np
 
 from .bounds import bound_curve
 from .errors import ConfigError, SdexitError
-from .lp import LpProblem, lp_brute_force, lp_solve
+from .lp import lp_brute_force, lp_solve, random_lp
 from .mc import estimate_exit_probability
 from .model import (
     BarrierFunction,
@@ -72,17 +74,10 @@ _REQUIRED = {
 _OPTIONAL = {"strict_margin_eps": 1e-6, "z": 3.0, "mc_horizon": 20.0}
 _ALLOWED = _REQUIRED | set(_OPTIONAL)
 
+_MODEL_BUILDERS = {"acc": acc_model, "deterministic_1d": deterministic_1d_model}
 _MODEL_DEFAULTS = {
-    "acc": {
-        "f0": 0.1,
-        "f1": 5.0,
-        "f2": 0.25,
-        "mass": 1650.0,
-        "lead_velocity": 0.5,
-        "u_lo": -1.0,
-        "u_hi": 1.0,
-    },
-    "deterministic_1d": {"rate": 1.0},
+    name: {p.name: p.default for p in inspect.signature(build).parameters.values()}
+    for name, build in _MODEL_BUILDERS.items()
 }
 _LINEAR_KEYS = {"A", "d", "B", "sigma", "u_lo", "u_hi"}
 
@@ -204,10 +199,8 @@ def _validate_barrier(raw) -> int | dict:
 def _build_model(model_field: dict) -> SdeModel:
     name, params = model_field["name"], model_field["params"]
     try:
-        if name == "acc":
-            return acc_model(**params)
-        if name == "deterministic_1d":
-            return deterministic_1d_model(**params)
+        if name in _MODEL_BUILDERS:
+            return _MODEL_BUILDERS[name](**params)
         return linear_model(
             a_mat=params["A"],
             d_vec=params["d"],
@@ -328,6 +321,13 @@ def builtin_config_path(name: str) -> Path:
     return Path(str(_pkg_files("sdexit").joinpath("configs", name)))
 
 
+def _echo(cfg: ScenarioConfig) -> dict:
+    """The config as a JSON-ready dict (x0 as a list)."""
+    echo = asdict(cfg)
+    echo["x0"] = list(cfg.x0)
+    return echo
+
+
 def _fmt(value: float | None) -> str:
     if value is None:
         return ""
@@ -375,10 +375,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
                 ]
             )
 
-    echo = asdict(cfg)
-    echo["x0"] = list(cfg.x0)
     with open(out / "config_echo.json", "w") as fh:
-        json.dump(echo, fh, indent=2, allow_nan=False)
+        json.dump(_echo(cfg), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
     result: dict = {"outcome": traj.outcome.kind, "exit_time": traj.outcome.exit_time}
@@ -416,28 +414,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# selftest helpers
-
-
-def _random_lp(rng: np.random.Generator) -> LpProblem:
-    d = int(rng.integers(1, 5))
-    r = int(rng.integers(0, 7))
-    rows = rng.normal(size=(r, d))
-    rhs = rng.normal(size=r)
-    lo = np.full(d, -np.inf)
-    hi = np.full(d, np.inf)
-    for j in range(d):
-        kind = rng.integers(0, 4)
-        vals = np.sort(rng.normal(scale=2.0, size=2))
-        if kind == 0:
-            lo[j], hi[j] = vals
-        elif kind == 1:
-            lo[j] = vals[0]
-        elif kind == 2:
-            hi[j] = vals[1]
-    return LpProblem(
-        objective=rng.normal(size=d), rows=rows, rhs=rhs, lo=lo, hi=hi
-    )
+# selftest
 
 
 def _selftest(n_instances: int, n_states: int) -> int:
@@ -454,7 +431,7 @@ def _selftest(n_instances: int, n_states: int) -> int:
         print(f"selftest barrier scenario {idx}: max derivative error {worst:.3e}")
     mismatches = 0
     for _ in range(n_instances):
-        prob = _random_lp(rng)
+        prob = random_lp(rng)
         got = lp_solve(prob)
         want = lp_brute_force(prob)
         if got.status != want.status:
@@ -537,12 +514,14 @@ def cli_main(argv=None) -> int:
         return 2
 
     if args.command == "validate":
-        echo = asdict(cfg)
-        echo["x0"] = list(cfg.x0)
-        print(json.dumps(echo, indent=2))
+        print(json.dumps(_echo(cfg), indent=2))
         return 0
 
-    summary = run_scenario(cfg, args.out)
+    try:
+        summary = run_scenario(cfg, args.out)
+    except OSError as exc:
+        print(f"error: cannot write results to {args.out}: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(summary, indent=2, allow_nan=False))
     return 0
 

@@ -19,6 +19,8 @@ constraint set) and recession directions (null directions of (d-1)-subsets).
 It shares no code with the simplex beyond numpy linear algebra and serves as
 its independent oracle in tests.  Exhaustive enumeration is only viable for
 tiny problems, hence the hard capacity limits.
+
+``random_lp`` draws the small random instances on which the two are compared.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "LpSolution",
     "lp_solve",
     "lp_brute_force",
+    "random_lp",
     "OPTIMAL",
     "INFEASIBLE",
     "UNBOUNDED",
@@ -43,6 +46,13 @@ __all__ = [
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+PIVOT_TOL = 1e-9  # simplex: smallest reduced cost / column entry that counts as positive
+FEAS_TOL = 1e-8  # simplex: scaled postcondition tolerance on the returned point
+MAX_ITER = 10000  # simplex: pivots per phase before giving up
+ORACLE_FEAS_TOL = 1e-9  # oracle: feasibility tolerance on normalized rows
+ORACLE_MAX_DIM = 6  # oracle: most variables it enumerates
+ORACLE_MAX_CONSTRAINTS = 24  # oracle: most rows, bounds included
 
 
 @dataclass(frozen=True)
@@ -111,8 +121,6 @@ def _run_phase(
     basis: np.ndarray,
     cost: np.ndarray,
     allowed: np.ndarray,
-    pivot_tol: float,
-    max_iter: int,
 ) -> bool:
     """Run the simplex loop for one phase. Returns True if unbounded."""
     obj = np.zeros(tab.shape[1])
@@ -120,14 +128,14 @@ def _run_phase(
     for i, bv in enumerate(basis):
         if obj[bv] != 0.0:
             obj -= obj[bv] * tab[i]
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         reduced = obj[:-1]
-        cand = np.where(allowed & (reduced > pivot_tol))[0]
+        cand = np.where(allowed & (reduced > PIVOT_TOL))[0]
         if cand.size == 0:
             return False
         pc = int(cand[0])  # Bland: smallest eligible index
         colv = tab[:, pc]
-        rows_ok = np.where(colv > pivot_tol)[0]
+        rows_ok = np.where(colv > PIVOT_TOL)[0]
         if rows_ok.size == 0:
             return True
         ratios = tab[rows_ok, -1] / colv[rows_ok]
@@ -139,18 +147,12 @@ def _run_phase(
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def lp_solve(
-    problem: LpProblem,
-    *,
-    pivot_tol: float = 1e-9,
-    feas_tol: float = 1e-8,
-    max_iter: int = 10000,
-) -> LpSolution:
+def lp_solve(problem: LpProblem) -> LpSolution:
     """Two-phase dense simplex with Bland's anti-cycling rule.
 
     Returns an LpSolution whose status is one of OPTIMAL / INFEASIBLE /
     UNBOUNDED.  An optimal solution is re-checked against all constraints to
-    feas_tol (scaled); a violation raises RuntimeError since it indicates a
+    FEAS_TOL (scaled); a violation raises RuntimeError since it indicates a
     solver defect rather than a property of the problem.
     """
     c, a, b = problem.objective, problem.rows, problem.rhs
@@ -222,7 +224,7 @@ def lp_solve(
         cost1[art_start:] = -1.0
         allowed1 = np.ones(ncols, dtype=bool)
         allowed1[art_start:] = False
-        if _run_phase(tab, basis, cost1, allowed1, pivot_tol, max_iter):
+        if _run_phase(tab, basis, cost1, allowed1):
             raise RuntimeError("phase-1 objective cannot be unbounded")
         art_sum = float(tab[basis >= art_start, -1].sum()) if np.any(basis >= art_start) else 0.0
         if art_sum > 1e-9 * scale:
@@ -231,7 +233,7 @@ def lp_solve(
         # pivoted are redundant and get dropped
         drop = []
         for i in np.where(basis >= art_start)[0]:
-            pcs = np.where(np.abs(tab[i, :art_start]) > pivot_tol)[0]
+            pcs = np.where(np.abs(tab[i, :art_start]) > PIVOT_TOL)[0]
             if pcs.size:
                 _pivot(tab, basis, int(i), int(pcs[0]))
             else:
@@ -244,7 +246,7 @@ def lp_solve(
     cost2 = np.zeros(art_start)
     cost2[:nx] = ct
     allowed2 = np.ones(art_start, dtype=bool)
-    if _run_phase(tab, basis, cost2, allowed2, pivot_tol, max_iter):
+    if _run_phase(tab, basis, cost2, allowed2):
         return LpSolution(UNBOUNDED, None, None)
 
     x = np.zeros(art_start)
@@ -252,7 +254,7 @@ def lp_solve(
     z = offset.copy()
     np.add.at(z, cvar, csign * x[:nx])
 
-    tol = feas_tol * (1.0 + max(scale, float(np.max(np.abs(z))) if d else 1.0))
+    tol = FEAS_TOL * (1.0 + max(scale, float(np.max(np.abs(z))) if d else 1.0))
     if a.shape[0] and float(np.max(a @ z - b)) > tol:
         raise RuntimeError("simplex postcondition violated: row constraint")
     if np.any(z < lo - tol) or np.any(z > hi + tol):
@@ -320,13 +322,7 @@ def _pointed_solve(
     return OPTIMAL, verts[best], float(vals[best])
 
 
-def lp_brute_force(
-    problem: LpProblem,
-    *,
-    feas_tol: float = 1e-9,
-    max_dim: int = 6,
-    max_constraints: int = 24,
-) -> LpSolution:
+def lp_brute_force(problem: LpProblem) -> LpSolution:
     """Exhaustive vertex-enumeration oracle for tiny LPs.
 
     Bounds are folded into the constraint list; the lineality space (null
@@ -334,7 +330,8 @@ def lp_brute_force(
     remaining polyhedron is pointed, making vertex enumeration a complete
     feasibility and optimality check.  Unboundedness is detected through
     recession directions among constraint-null directions.  Raises
-    CapacityError beyond max_dim variables or max_constraints total rows.
+    CapacityError beyond ORACLE_MAX_DIM variables or ORACLE_MAX_CONSTRAINTS
+    total rows.
     """
     c = problem.objective
     d = problem.d
@@ -353,17 +350,17 @@ def lp_brute_force(
             rhs_parts.append(np.array([-problem.lo[j]]))
     g_mat = np.vstack(parts)
     g_rhs = np.concatenate(rhs_parts)
-    if d > max_dim:
-        raise CapacityError(f"{d} variables exceeds oracle limit {max_dim}")
-    if g_mat.shape[0] > max_constraints:
+    if d > ORACLE_MAX_DIM:
+        raise CapacityError(f"{d} variables exceeds oracle limit {ORACLE_MAX_DIM}")
+    if g_mat.shape[0] > ORACLE_MAX_CONSTRAINTS:
         raise CapacityError(
-            f"{g_mat.shape[0]} constraints exceeds oracle limit {max_constraints}"
+            f"{g_mat.shape[0]} constraints exceeds oracle limit {ORACLE_MAX_CONSTRAINTS}"
         )
 
     # zero rows encode 0 <= rhs: either trivially true or infeasible
     norms = np.linalg.norm(g_mat, axis=1)
     zero = norms < 1e-300
-    if np.any(g_rhs[zero] < -feas_tol):
+    if np.any(g_rhs[zero] < -ORACLE_FEAS_TOL):
         return LpSolution(INFEASIBLE, None, None)
     g_mat, g_rhs, norms = g_mat[~zero], g_rhs[~zero], norms[~zero]
     m = g_mat.shape[0]
@@ -377,7 +374,7 @@ def lp_brute_force(
     # normalize rows: scale-free tolerances, better-conditioned subsystems
     g_mat = g_mat / norms[:, None]
     g_rhs = g_rhs / norms
-    ftol = feas_tol * np.maximum(1.0, np.abs(g_rhs))
+    ftol = ORACLE_FEAS_TOL * np.maximum(1.0, np.abs(g_rhs))
 
     _, s, vt = np.linalg.svd(g_mat)
     rank = int(np.sum(s > s[0] * 1e-10)) if s.size else 0
@@ -409,3 +406,30 @@ def lp_brute_force(
         return LpSolution(status, None, None)
     z = row_basis @ y
     return LpSolution(OPTIMAL, z, float(c @ z))
+
+
+# ---------------------------------------------------------------------------
+# random instances
+
+
+def random_lp(rng: np.random.Generator) -> LpProblem:
+    """Random small LP with a mix of box patterns (incl. fixed and free vars)."""
+    d = int(rng.integers(1, 6))
+    r = int(rng.integers(0, 9))
+    rows = rng.normal(size=(r, d)) * float(rng.choice([0.5, 1.0, 3.0]))
+    rhs = 2.0 * rng.normal(size=r)
+    lo = np.full(d, -np.inf)
+    hi = np.full(d, np.inf)
+    for j in range(d):
+        kind = int(rng.integers(0, 5))
+        vals = np.sort(rng.normal(scale=3.0, size=2))
+        if kind == 0:
+            lo[j], hi[j] = vals
+        elif kind == 1:
+            lo[j] = vals[0]
+        elif kind == 2:
+            hi[j] = vals[1]
+        elif kind == 3:
+            lo[j] = hi[j] = vals[0]
+        # kind == 4: free variable
+    return LpProblem(objective=rng.normal(size=d), rows=rows, rhs=rhs, lo=lo, hi=hi)

@@ -39,6 +39,9 @@ __all__ = [
     "check_barrier_derivatives",
 ]
 
+FD_STEP = 1e-5  # central-difference step of check_barrier_derivatives
+FD_TOL = 1e-5  # its pass threshold on the relative gradient and Hessian errors
+
 
 @dataclass(frozen=True)
 class ControlBox:
@@ -323,19 +326,14 @@ def scenario_barrier(index: int) -> BarrierFunction:
     raise DomainError(f"unknown scenario barrier index {index}")
 
 
-def check_barrier_derivatives(
-    barrier: BarrierFunction,
-    x: np.ndarray,
-    step: float = 1e-5,
-    tol: float = 1e-5,
-) -> dict:
+def check_barrier_derivatives(barrier: BarrierFunction, x: np.ndarray) -> dict:
     """Central-difference consistency check of gradient and Hessian.
 
     Compares the analytic gradient against central differences of the value,
     and the analytic Hessian against central differences of the gradient.
     Relative error uses max(1, |analytic|) in the denominator so zero entries
     are compared absolutely.  Returns a dict with the two max errors and an
-    overall 'ok' flag (both below tol, Hessian symmetric to 1e-12).
+    overall 'ok' flag (both below FD_TOL, Hessian symmetric to 1e-12).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (barrier.n,):
@@ -347,11 +345,11 @@ def check_barrier_derivatives(
     hess_fd = np.empty((barrier.n, barrier.n))
     for i in range(barrier.n):
         e = np.zeros(barrier.n)
-        e[i] = step
-        grad_fd[i] = (barrier.value(x + e) - barrier.value(x - e)) / (2 * step)
+        e[i] = FD_STEP
+        grad_fd[i] = (barrier.value(x + e) - barrier.value(x - e)) / (2 * FD_STEP)
         hess_fd[:, i] = (
             np.asarray(barrier.gradient(x + e)) - np.asarray(barrier.gradient(x - e))
-        ) / (2 * step)
+        ) / (2 * FD_STEP)
 
     grad_err = float(np.max(np.abs(grad_fd - grad) / np.maximum(1.0, np.abs(grad))))
     hess_err = float(np.max(np.abs(hess_fd - hess) / np.maximum(1.0, np.abs(hess))))
@@ -360,5 +358,5 @@ def check_barrier_derivatives(
         "grad_err": grad_err,
         "hess_err": hess_err,
         "sym_err": sym_err,
-        "ok": grad_err < tol and hess_err < tol and sym_err < 1e-12,
+        "ok": grad_err < FD_TOL and hess_err < FD_TOL and sym_err < 1e-12,
     }

@@ -8,16 +8,19 @@ certificate LP searches for a control u in the box U and scalars (a, b) with
 
 maximizing a - w b.  Variant I additionally requires b >= 0 and a <= delta;
 variant II boxes both a and b into [-delta, delta] so b may go negative.
-Large w (>= lexicographic_threshold) switches to a two-stage solve: minimize
-b first, then maximize a with b capped at its optimum plus a small tolerance.
+Large w (>= ProblemSpec.lexicographic_threshold, 1e6) switches to a two-stage
+solve: minimize b first, then maximize a with b capped at its optimum plus a
+small tolerance.
 
-``synthesize_control`` runs this through the dense simplex.  The control
+``build_lp_problem`` states this LP for either variant and
+``synthesize_control`` runs it through the dense simplex.  The control
 enters a single row with zero objective weight, so u can always be taken
 bang-bang (``bang_bang``, argmax of c.u, feasible or not) and the LP
 collapses to two variables (a, b), which the reduced kernel
 ``certificate_solve`` solves exactly by enumerating the vertices of the
 constraint polygon.  The two routes agree on the optimal objective; tests
-enforce this on random states.
+enforce this on random states.  Where the LP is infeasible both return the
+bang-bang control with NaN certificates and status FALLBACK.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,10 +41,8 @@ __all__ = [
     "ProblemVariant",
     "ProblemSpec",
     "SynthesisResult",
-    "build_lp_problem_i",
-    "build_lp_problem_ii",
+    "build_lp_problem",
     "bang_bang",
-    "fallback_control",
     "synthesize_control",
     "certificate_solve",
     "FEASIBLE",
@@ -71,7 +73,7 @@ class ProblemSpec:
     weight_w: float
     delta: float
     strict_margin_eps: float = 1e-6
-    lexicographic_threshold: float = 1e6
+    lexicographic_threshold: ClassVar[float] = 1e6  # two-stage solve from this weight_w on
 
     def __post_init__(self):
         if not np.isfinite(self.delta) or self.delta <= 0:
@@ -97,18 +99,30 @@ class SynthesisResult:
     lp_objective: float
 
 
-def _certificate_lp(
+def build_lp_problem(
     decomp: GeneratorDecomposition,
     value: float,
     spec: ProblemSpec,
     box: ControlBox,
-    ab_lo: list[float],
-    ab_hi: list[float],
 ) -> LpProblem:
-    """Certificate LP over z = (u_1..u_m, a, b) with (a, b) boxed by ab_lo/ab_hi."""
+    """Certificate LP over z = (u_1..u_m, a, b) at a state with barrier value ``value``.
+
+    The (a, b) box comes from spec.variant: a <= delta and b >= 0 for
+    variant I, a and b in [-delta, delta] for variant II.  Warns when the
+    value lies outside the variant's domain.
+    """
     m = decomp.c.shape[0]
     if box.m != m:
         raise DimensionError("control box does not match generator decomposition")
+    delta = spec.delta
+    if spec.variant == ProblemVariant.PROBLEM_I:
+        if not 0.0 < value < 1.0:
+            warnings.warn(f"variant-I synthesis at h = {value}, outside (0, 1)", stacklevel=2)
+        ab_lo, ab_hi = [-np.inf, 0.0], [delta, np.inf]
+    else:
+        if value >= 1.0:
+            warnings.warn(f"variant-II synthesis at g = {value} >= 1", stacklevel=2)
+        ab_lo, ab_hi = [-delta, -delta], [delta, delta]
     row_gen = np.concatenate([-decomp.c, [value, -1.0]])
     row_margin = np.concatenate([np.zeros(m), [-1.0, 1.0]])
     return LpProblem(
@@ -120,51 +134,9 @@ def _certificate_lp(
     )
 
 
-def build_lp_problem_i(
-    decomp: GeneratorDecomposition,
-    h_value: float,
-    spec: ProblemSpec,
-    box: ControlBox,
-) -> LpProblem:
-    """Variant-I certificate LP over z = (u_1..u_m, a, b)."""
-    if not 0.0 < h_value < 1.0:
-        warnings.warn(f"variant-I synthesis at h = {h_value}, outside (0, 1)", stacklevel=2)
-    return _certificate_lp(decomp, h_value, spec, box, [-np.inf, 0.0], [spec.delta, np.inf])
-
-
-def build_lp_problem_ii(
-    decomp: GeneratorDecomposition,
-    g_value: float,
-    spec: ProblemSpec,
-    box: ControlBox,
-) -> LpProblem:
-    """Variant-II certificate LP over z = (u_1..u_m, a, b); b may be negative."""
-    if g_value >= 1.0:
-        warnings.warn(f"variant-II synthesis at g = {g_value} >= 1", stacklevel=2)
-    delta = spec.delta
-    return _certificate_lp(decomp, g_value, spec, box, [-delta, -delta], [delta, delta])
-
-
 def bang_bang(c: np.ndarray, box: ControlBox) -> np.ndarray:
     """Maximizer of c.u over the box, for c of shape (..., m): hi_i if c_i > 0 else lo_i."""
     return np.where(c > 0.0, box.hi, box.lo)
-
-
-def fallback_control(decomp: GeneratorDecomposition, box: ControlBox) -> np.ndarray:
-    """Bang-bang maximizer of the generator at one state."""
-    if box.m != decomp.c.shape[0]:
-        raise DimensionError("control box does not match generator decomposition")
-    return bang_bang(decomp.c, box)
-
-
-def _fallback_result(decomp: GeneratorDecomposition, box: ControlBox) -> SynthesisResult:
-    return SynthesisResult(
-        u=fallback_control(decomp, box),
-        a=float("nan"),
-        b=float("nan"),
-        status=FALLBACK,
-        lp_objective=float("nan"),
-    )
 
 
 def _state_terms(
@@ -187,8 +159,7 @@ def synthesize_control(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> Syn
     """
     decomp, v = _state_terms(model, spec, x)
     box = model.control_box
-    build = build_lp_problem_i if spec.variant == ProblemVariant.PROBLEM_I else build_lp_problem_ii
-    prob = build(decomp, v, spec, box)
+    prob = build_lp_problem(decomp, v, spec, box)
     m = box.m
 
     if spec.weight_w >= spec.lexicographic_threshold:
@@ -201,7 +172,10 @@ def synthesize_control(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> Syn
     else:
         sol = lp_solve(prob)
     if sol.status != OPTIMAL:
-        return _fallback_result(decomp, box)
+        nan = float("nan")
+        return SynthesisResult(
+            u=bang_bang(decomp.c, box), a=nan, b=nan, status=FALLBACK, lp_objective=nan
+        )
 
     z = sol.z
     u = np.clip(z[:m], box.lo, box.hi)
@@ -330,9 +304,13 @@ def synthesize_control_fast(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -
     u, a, b, feasible = certificate_solve(
         np.array([v]), np.array([decomp.c0]), decomp.c[None, :], model.control_box, spec
     )
-    if not feasible[0]:
-        return _fallback_result(decomp, model.control_box)
+    # an infeasible row already holds the bang-bang control and NaN (a, b),
+    # so its lp_objective comes out NaN as well
     a0, b0 = float(a[0]), float(b[0])
     return SynthesisResult(
-        u=u[0], a=a0, b=b0, status=FEASIBLE, lp_objective=a0 - spec.weight_w * b0
+        u=u[0],
+        a=a0,
+        b=b0,
+        status=FEASIBLE if feasible[0] else FALLBACK,
+        lp_objective=a0 - spec.weight_w * b0,
     )

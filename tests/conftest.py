@@ -1,39 +1,13 @@
-"""Shared test helpers: random LP instances and scenario shorthands."""
+"""Shared test helpers: scenario shorthands and acceptance verdict lines."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from sdexit import (
-    LpProblem,
     ProblemSpec,
     ProblemVariant,
     acc_model,
     scenario_barrier,
 )
-
-
-def random_lp(rng: np.random.Generator) -> LpProblem:
-    """Random small LP with a mix of box patterns (incl. fixed and free vars)."""
-    d = int(rng.integers(1, 6))
-    r = int(rng.integers(0, 9))
-    rows = rng.normal(size=(r, d)) * float(rng.choice([0.5, 1.0, 3.0]))
-    rhs = 2.0 * rng.normal(size=r)
-    lo = np.full(d, -np.inf)
-    hi = np.full(d, np.inf)
-    for j in range(d):
-        kind = int(rng.integers(0, 5))
-        vals = np.sort(rng.normal(scale=3.0, size=2))
-        if kind == 0:
-            lo[j], hi[j] = vals
-        elif kind == 1:
-            lo[j] = vals[0]
-        elif kind == 2:
-            hi[j] = vals[1]
-        elif kind == 3:
-            lo[j] = hi[j] = vals[0]
-        # kind == 4: free variable
-    return LpProblem(objective=rng.normal(size=d), rows=rows, rhs=rhs, lo=lo, hi=hi)
 
 
 def scenario_spec(index: int, w: float, delta: float = 10.0, **kw) -> ProblemSpec:

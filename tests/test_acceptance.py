@@ -16,7 +16,7 @@ import sys
 import time
 
 import numpy as np
-from conftest import acceptance_verdicts, random_lp
+from conftest import acceptance_verdicts
 
 from sdexit import (
     EXITED_TARGET,
@@ -25,7 +25,7 @@ from sdexit import (
     ProblemSpec,
     ProblemVariant,
     acc_model,
-    build_lp_problem_i,
+    build_lp_problem,
     builtin_config_path,
     check_barrier_derivatives,
     derive_path_seed,
@@ -50,6 +50,7 @@ from sdexit import (
     synthesize_control_fast,
     validate_config,
 )
+from sdexit.lp import random_lp
 
 SHIPPED = (
     "scenario1_w1",
@@ -175,7 +176,7 @@ def test_criterion_3_certificate_at_reference_state():
 
     # recompute both expected operating points with the enumeration oracle
     decomp = generator_decompose(model, barrier, x0)
-    prob = build_lp_problem_i(decomp, v0, spec(1.0), model.control_box)
+    prob = build_lp_problem(decomp, v0, spec(1.0), model.control_box)
     plain = lp_brute_force(prob)
     assert plain.status == "optimal"
     stage1 = lp_brute_force(

@@ -337,6 +337,16 @@ def test_cli_unreadable_or_malformed_file(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    rc = cli_main(["run", _write(tmp_path, _raw()), "--out", str(taken)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(taken) in err
+    assert taken.read_text() == "a file, not a directory"
+
+
 def test_cli_selftest_passes(capsys):
     rc = cli_main(["selftest", "--instances", "40", "--states", "10"])
     assert rc == 0

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from conftest import random_lp
 
 from sdexit import (
     INFEASIBLE,
@@ -13,6 +12,7 @@ from sdexit import (
     lp_brute_force,
     lp_solve,
 )
+from sdexit.lp import random_lp
 
 
 def _box(objective, lo, hi, rows=None, rhs=None):

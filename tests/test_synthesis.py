@@ -12,10 +12,9 @@ from sdexit import (
     ProblemSpec,
     ProblemVariant,
     acc_model,
-    build_lp_problem_i,
-    build_lp_problem_ii,
+    bang_bang,
+    build_lp_problem,
     certificate_solve,
-    fallback_control,
     generator_decompose,
     lp_brute_force,
     scenario_barrier,
@@ -46,12 +45,12 @@ def test_lp_problem_structure():
     m = acc_model()
     spec = scenario_spec(1, w=1.0)
     decomp = generator_decompose(m, spec.barrier, np.array([-0.5, 1.5]))
-    prob = build_lp_problem_i(decomp, 0.6, spec, m.control_box)
+    prob = build_lp_problem(decomp, 0.6, spec, m.control_box)
     assert prob.d == 3  # (u, a, b)
     assert prob.rows.shape == (2, 3)
     assert prob.lo[2] == 0.0 and prob.hi[1] == 10.0
     spec2 = scenario_spec(3, w=1.0)
-    prob2 = build_lp_problem_ii(decomp, 0.0, spec2, m.control_box)
+    prob2 = build_lp_problem(decomp, 0.0, spec2, m.control_box)
     assert prob2.lo[1] == -10.0 and prob2.hi[2] == 10.0
 
 
@@ -64,7 +63,7 @@ def test_scenario1_w1_point_matches_oracle():
     assert res.u[0] == pytest.approx(-1.0, abs=1e-12)
     # cross-check against exhaustive vertex enumeration of the same LP
     decomp = generator_decompose(m, spec.barrier, x0)
-    oracle = lp_brute_force(build_lp_problem_i(decomp, 0.6, spec, m.control_box))
+    oracle = lp_brute_force(build_lp_problem(decomp, 0.6, spec, m.control_box))
     assert oracle.status == "optimal"
     assert res.a == pytest.approx(oracle.z[1], abs=1e-9)
     assert res.b == pytest.approx(oracle.z[2], abs=1e-9)
@@ -105,7 +104,7 @@ def test_stage1_b_is_polygon_minimum():
         if res.status != FEASIBLE:
             continue
         decomp = generator_decompose(m, spec.barrier, x)
-        prob = build_lp_problem_i(decomp, float(spec.barrier.value(x)), spec, m.control_box)
+        prob = build_lp_problem(decomp, float(spec.barrier.value(x)), spec, m.control_box)
         min_b = lp_brute_force(
             LpProblem(
                 objective=np.array([0.0, 0.0, -1.0]),
@@ -186,7 +185,8 @@ def test_infeasible_spec_degrades_to_fallback():
         assert r.status == FALLBACK
         assert np.isnan(r.a) and np.isnan(r.b) and np.isnan(r.lp_objective)
     decomp = generator_decompose(m, spec.barrier, np.array([-0.5, 1.5]))
-    assert np.array_equal(res.u, fallback_control(decomp, m.control_box))
+    for r in (res, fast):
+        assert np.array_equal(r.u, bang_bang(decomp.c, m.control_box))
     assert res.u[0] == -1.0  # c < 0 picks the lower box corner
 
 
