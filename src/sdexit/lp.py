@@ -230,12 +230,14 @@ def lp_solve(problem: LpProblem) -> LpSolution:
         if art_sum > 1e-9 * scale:
             return LpSolution(INFEASIBLE, None, None)
         # drive leftover artificials out of the basis; rows that cannot be
-        # pivoted are redundant and get dropped
+        # pivoted are redundant and get dropped.  An artificial may still hold
+        # up to the phase-1 tolerance, which the pivot divides by its entry,
+        # so the largest entry is taken.
         drop = []
         for i in np.where(basis >= art_start)[0]:
             pcs = np.where(np.abs(tab[i, :art_start]) > PIVOT_TOL)[0]
             if pcs.size:
-                _pivot(tab, basis, int(i), int(pcs[0]))
+                _pivot(tab, basis, int(i), int(pcs[np.argmax(np.abs(tab[i, pcs]))]))
             else:
                 drop.append(int(i))
         if drop:
@@ -272,7 +274,8 @@ def _vertices(g_mat: np.ndarray, g_rhs: np.ndarray, ftol: np.ndarray) -> np.ndar
     combos = np.asarray(list(itertools.combinations(range(m), d)), dtype=int)
     mats = g_mat[combos]
     rhs = g_rhs[combos]
-    dets = np.linalg.det(mats)
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular subsets, masked below
+        dets = np.linalg.det(mats)
     ok = np.abs(dets) > 1e-12
     if not ok.any():
         return np.zeros((0, d))

@@ -34,14 +34,18 @@ class McSummary:
     master_seed: int
 
 
+def _check_z(z: float) -> None:
+    if not (math.isfinite(z) and z > 0):
+        raise DomainError("z must be positive and finite")
+
+
 def wilson_interval(successes: int, n: int, z: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n < 1:
         raise DomainError("n must be at least 1")
     if not 0 <= successes <= n:
         raise DomainError(f"successes {successes} outside [0, {n}]")
-    if not (math.isfinite(z) and z > 0):
-        raise DomainError("z must be positive and finite")
+    _check_z(z)
     p = successes / n
     z2n = z * z / n
     denom = 1.0 + z2n
@@ -70,6 +74,7 @@ def estimate_exit_probability(
         raise DomainError("n_paths must be at least 1")
     if chunk_size < 1:
         raise DomainError("chunk_size must be at least 1")
+    _check_z(z)  # before any path is simulated
     n_target = n_unsafe = n_timeout = 0
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)

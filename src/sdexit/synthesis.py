@@ -16,15 +16,18 @@ small tolerance.
 ``synthesize_control`` runs it through the dense simplex.  The control
 enters a single row with zero objective weight, so u can always be taken
 bang-bang (``bang_bang``, argmax of c.u, feasible or not) and the LP
-collapses to two variables (a, b), which the reduced kernel
-``certificate_solve`` solves exactly by enumerating the vertices of the
-constraint polygon.  The two routes agree on the optimal objective; tests
-enforce this on random states.  Where the LP is infeasible both return the
-bang-bang control with NaN certificates and status FALLBACK.
+collapses to two variables (a, b).  The reduced kernel ``certificate_solve``
+solves that in closed form: the best b for a given a is the least one
+allowed, the feasible a form one interval, and the optimum sits at its upper
+end, at the one kink of the objective, or, in the two-stage solve, where b
+reaches its cap.  The two routes agree on the optimal objective; tests
+enforce this on random and degenerate states.  Where the LP is infeasible
+both return the bang-bang control with NaN certificates and status FALLBACK.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -84,12 +87,13 @@ class ProblemSpec:
             raise DomainError("weight_w must be nonnegative and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynthesisResult:
     """Control plus certificate at one state.
 
     status is FEASIBLE or FALLBACK; on FALLBACK the control is the bang-bang
-    generator maximizer and (a, b, lp_objective) are NaN sentinels.
+    generator maximizer and (a, b, lp_objective) are NaN sentinels.  The
+    results of ``synthesize_control_fast`` share one read-only u per control.
     """
 
     u: np.ndarray
@@ -186,70 +190,7 @@ def synthesize_control(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> Syn
 
 
 # ---------------------------------------------------------------------------
-# reduced kernel: exact two-variable solve, vectorized over states
-
-
-def _polygon_optimize(
-    lines: list[tuple[np.ndarray | float, float, np.ndarray | float]],
-    alpha: float,
-    beta: float,
-    size: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize alpha*a - beta*b over {pa*a + pb*b <= q for each line}.
-
-    Each line is (pa, pb, q) with pa/q scalars or length-``size`` arrays.
-    Candidates are the pairwise line intersections; the polygon is pointed
-    (variant I) or bounded (variant II), so enumerating them is complete.
-    Returns (a, b, feasible); infeasible entries hold NaN.
-    """
-    best_obj = np.full(size, -np.inf)
-    best_a = np.full(size, np.nan)
-    best_b = np.full(size, np.nan)
-    # 0-d arrays so parallel-line zero dets yield maskable inf/nan, not raises
-    lines = [tuple(np.asarray(part, dtype=float) for part in line) for line in lines]
-    n_lines = len(lines)
-    qtols = [1e-9 * np.maximum(1.0, np.abs(q)) for _, _, q in lines]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(n_lines):
-            pa_i, pb_i, q_i = lines[i]
-            for j in range(i + 1, n_lines):
-                pa_j, pb_j, q_j = lines[j]
-                det = pa_i * pb_j - pa_j * pb_i
-                a_cand = (q_i * pb_j - q_j * pb_i) / det
-                b_cand = (pa_i * q_j - pa_j * q_i) / det
-                ok = (np.abs(det) > 1e-12) & np.isfinite(a_cand) & np.isfinite(b_cand)
-                for k in range(n_lines):
-                    pa_k, pb_k, q_k = lines[k]
-                    ok = ok & (pa_k * a_cand + pb_k * b_cand <= q_k + qtols[k])
-                obj = alpha * a_cand - beta * b_cand
-                upd = ok & (obj > best_obj)
-                best_obj = np.where(upd, obj, best_obj)
-                best_a = np.where(upd, a_cand, best_a)
-                best_b = np.where(upd, b_cand, best_b)
-    return best_a, best_b, best_obj > -np.inf
-
-
-def _certificate_lines(
-    v: np.ndarray,
-    gen_max: np.ndarray,
-    spec: ProblemSpec,
-    b_cap: np.ndarray | None,
-) -> list[tuple[np.ndarray | float, float, np.ndarray | float]]:
-    eps, delta = spec.strict_margin_eps, spec.delta
-    lines: list[tuple[np.ndarray | float, float, np.ndarray | float]] = [
-        (v, -1.0, gen_max),  # v a - b <= max_u L(u)
-        (-1.0, 1.0, -eps),  # a - b >= eps
-        (1.0, 0.0, delta),  # a <= delta
-    ]
-    if spec.variant == ProblemVariant.PROBLEM_I:
-        lines.append((0.0, -1.0, 0.0))  # b >= 0
-    else:
-        lines.append((-1.0, 0.0, delta))  # a >= -delta
-        lines.append((0.0, -1.0, delta))  # b >= -delta
-        lines.append((0.0, 1.0, delta))  # b <= delta
-    if b_cap is not None:
-        lines.append((0.0, 1.0, b_cap))
-    return lines
+# reduced kernel: closed-form two-variable solve, vectorized over states
 
 
 def certificate_solve(
@@ -266,36 +207,69 @@ def certificate_solve(
     control and NaN certificates.  Exact reduction of the full LP: u only
     enters the generator row with zero objective weight, so bang-bang u is
     always optimal and (a, b) solve a two-variable LP.
+
+    With g = max_u L(u) and b_floor = 0 (I) or -delta (II), the least b
+    allowed at a given a is b*(a) = max(b_floor, v a - g), and since w >= 0
+    it is also the best.  The a for which b*(a) is allowed form one interval
+    [lo, hi]; the objective a - w b*(a) is concave on it with one kink.
     """
     v = np.asarray(v, dtype=float)
     c0 = np.asarray(c0, dtype=float)
     c = np.asarray(c, dtype=float)
-    size = v.shape[0]
     u = bang_bang(c, box)
-    gen_max = c0 + np.einsum("pm,pm->p", c, u)
+    g = c0 + np.einsum("pm,pm->p", c, u)
+    eps, delta, w = spec.strict_margin_eps, spec.delta, spec.weight_w
+    b_floor = -delta if spec.variant == ProblemVariant.PROBLEM_II else 0.0
 
-    if spec.weight_w >= spec.lexicographic_threshold:
-        lines = _certificate_lines(v, gen_max, spec, None)
-        _, b1, feas = _polygon_optimize(lines, 0.0, 1.0, size)
-        b_cap = b1 + STAGE2_B_TOL
-        lines2 = _certificate_lines(v, gen_max, spec, b_cap)
-        a2, b2, feas2 = _polygon_optimize(lines2, 1.0, 0.0, size)
-        feasible = feas & feas2
-        a_out, b_out = a2, b2
-    else:
-        lines = _certificate_lines(v, gen_max, spec, None)
-        a_out, b_out, feasible = _polygon_optimize(lines, 1.0, spec.weight_w, size)
+    def b_star(a):
+        return np.maximum(b_floor, v * a - g)
 
-    # roundoff hygiene: intersections may sit 1e-16 outside the variable boxes
-    if spec.variant == ProblemVariant.PROBLEM_I:
-        a_out = np.minimum(a_out, spec.delta)
-        b_out = np.maximum(b_out, 0.0)
-    else:
-        a_out = np.clip(a_out, -spec.delta, spec.delta)
-        b_out = np.clip(b_out, -spec.delta, spec.delta)
+    # divisions by v - 1 and v are only read where that divisor is nonzero
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # [lo, hi] holds the a with b_floor <= b*(a) <= a - eps and a <= delta,
+        # which imply variant II's a >= -delta and b <= delta; the generator
+        # row makes b*(a) <= a - eps read (v - 1) a <= g - eps.  A NaN barrier
+        # value certifies nothing.
+        lo = np.full(v.shape, b_floor + eps)
+        hi = np.full(v.shape, delta)
+        margin_a = (g - eps) / (v - 1.0)
+        lo = np.where(v < 1.0, np.maximum(lo, margin_a), lo)
+        hi = np.where(v > 1.0, np.minimum(hi, margin_a), hi)
+        feasible = ~np.isnan(v) & ((v != 1.0) | (g >= eps)) & (lo <= hi)
+
+        if w >= spec.lexicographic_threshold:
+            # b*(a) falls or stays flat in a unless v > 0, so a = hi is best in
+            # both stages; for v > 0 stage 1 ends at lo and stage 2 at the
+            # largest a with b*(a) <= cap
+            cap = b_star(lo) + STAGE2_B_TOL
+            cap_a = (cap + g) / v
+            capped = (v > 0.0) & (cap_a < hi)
+            a_out = np.where(capped, cap_a, hi)
+            b_out = np.where(capped, cap, b_star(hi))
+        else:
+            # a - w b*(a) rises with slope 1 up to the kink, where b*(a) leaves
+            # b_floor, and with slope 1 - w v past it (v > 0; v <= 0 never falls)
+            kink = (g + b_floor) / v
+            falls = (v > 0.0) & (w * v > 1.0)
+            a_out = np.where(falls, np.clip(kink, lo, hi), hi)
+            b_out = b_star(a_out)
+
     a_out = np.where(feasible, a_out, np.nan)
     b_out = np.where(feasible, b_out, np.nan)
     return u, a_out, b_out, feasible
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_control(raw: bytes) -> np.ndarray:
+    """One read-only array per bang-bang control, for every result that holds it.
+
+    A bang-bang control is a corner of the box, so few distinct ones occur,
+    and a kept result then costs no array of its own.  The cache is bounded,
+    so controls with many components cannot grow it without limit.
+    """
+    u = np.frombuffer(raw).copy()
+    u.flags.writeable = False
+    return u
 
 
 def synthesize_control_fast(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> SynthesisResult:
@@ -308,7 +282,7 @@ def synthesize_control_fast(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -
     # so its lp_objective comes out NaN as well
     a0, b0 = float(a[0]), float(b[0])
     return SynthesisResult(
-        u=u[0],
+        u=_shared_control(u[0].tobytes()),
         a=a0,
         b=b0,
         status=FEASIBLE if feasible[0] else FALLBACK,

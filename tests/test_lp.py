@@ -126,6 +126,25 @@ def test_certificate_polygon_instance():
     assert got.objective_value == pytest.approx(10.0 - (6.0 - big_l), abs=1e-9)
 
 
+def test_artificial_left_within_tolerance_keeps_bounds():
+    """A certificate LP infeasible by 4e-9, inside phase 1's tolerance.
+
+    Driving its artificial out on the first eligible entry, not the largest,
+    broke a variable bound and raised.
+    """
+    prob = LpProblem(
+        objective=np.array([0.0, 0.0, 1.0, 0.0]),  # (u1, u2, a, b)
+        rows=np.array([[0.03125, 0.0, 0.00390625, -1.0], [0.0, 0.0, -1.0, 1.0]]),
+        rhs=np.array([-0.03125, -1e-6]),
+        lo=np.array([-1.0, -2.0, -np.inf, 0.0]),
+        hi=np.array([1.0, 3.0, 1e-6, np.inf]),
+    )
+    got = lp_solve(prob)
+    assert got.status == OPTIMAL  # feasible within the solver's tolerance
+    assert np.all(got.z >= prob.lo - 1e-12) and np.all(got.z <= prob.hi + 1e-12)
+    assert float(np.max(prob.rows @ got.z - prob.rhs)) <= 1e-8
+
+
 def test_oracle_capacity_guards():
     with pytest.raises(CapacityError):
         lp_brute_force(_box([1.0] * 7, lo=[0.0] * 7, hi=[1.0] * 7))

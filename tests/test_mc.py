@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import scenario_spec
 
+import sdexit.mc
 import sdexit.sim
 
 from sdexit import (
@@ -129,6 +130,17 @@ def test_estimate_never_solves_a_certificate(monkeypatch):
     monkeypatch.setattr(sdexit.sim, "certificate_solve", refuse)
     blind = dataclasses.replace(spec, barrier=dataclasses.replace(spec.barrier, hessian=refuse))
     assert estimate_exit_probability(m, blind, x0, 0.02, 1.0, 64, 29) == expected
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0, float("inf"), float("nan")])
+def test_bad_z_raises_before_any_path(monkeypatch, z):
+    def refuse(*args, **kwargs):
+        raise AssertionError("paths simulated before z was checked")
+
+    monkeypatch.setattr(sdexit.mc, "run_paths", refuse)
+    x0 = np.array([-0.5, 1.5])
+    with pytest.raises(DomainError):
+        estimate_exit_probability(acc_model(), scenario_spec(1, w=1.0), x0, 0.02, 1.0, 64, 29, z=z)
 
 
 def test_same_master_seed_reproduces():

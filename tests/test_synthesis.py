@@ -1,8 +1,13 @@
 """Certificate LP synthesis: simplex route, reduced kernel, and oracle cross-checks."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import scenario_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdexit import (
     FALLBACK,
@@ -16,11 +21,15 @@ from sdexit import (
     build_lp_problem,
     certificate_solve,
     generator_decompose,
+    linear_model,
     lp_brute_force,
+    quadratic_barrier,
     scenario_barrier,
     synthesize_control,
     synthesize_control_fast,
 )
+from sdexit.lp import OPTIMAL
+from sdexit.synthesis import STAGE2_B_TOL
 
 BIG_L = 0.24963522727272726  # max_u L at scenario-1 x0, equals c0 + |c|
 
@@ -218,10 +227,6 @@ def test_batch_certificates_match_scalar_calls():
         assert np.array_equal(u[i], single.u)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 4: the vertex search accepts a breach of b >= -delta within its 1e-9 qtol",
-)
 def test_degenerate_vertex_keeps_strict_margin():
     """Lexicographic edge w just below 1e6, delta == eps: the optimum is the vertex (delta, -delta)."""
     spec = ProblemSpec(
@@ -236,5 +241,149 @@ def test_degenerate_vertex_keeps_strict_margin():
         np.array([-3.0]), np.array([1e-6]), np.array([[1e-9]]), box, spec
     )
     assert feasible[0]
-    assert a[0] - b[0] >= spec.strict_margin_eps  # returns 9.9975e-7 today
+    assert a[0] - b[0] >= spec.strict_margin_eps
     assert a[0] - spec.weight_w * b[0] >= 1.000000999999 - 1e-12
+
+
+def test_fast_results_share_a_small_read_only_control():
+    """A kept result holds neither the batch array nor a control of its own."""
+    m = acc_model()
+    feasible = synthesize_control_fast(m, scenario_spec(1, w=1.0), np.array([-0.5, 1.5]))
+    fallback = synthesize_control_fast(
+        m, scenario_spec(1, w=1.0, delta=1e-8), np.array([-0.5, 1.5])
+    )
+    assert feasible.status == FEASIBLE and fallback.status == FALLBACK
+    for res in (feasible, fallback):
+        assert res.u.base is None
+        assert res.u.shape == (m.control_box.m,)
+        assert not res.u.flags.writeable
+    assert fallback.u is feasible.u  # the same corner, u = -1
+
+
+@pytest.mark.parametrize("w", [1.0, 1e12])
+def test_nan_inputs_certify_nothing(w):
+    spec = scenario_spec(3, w=w)
+    box = ControlBox(lo=np.array([-1.0]), hi=np.array([1.0]))
+    u, a, b, feasible = certificate_solve(
+        np.array([np.nan, 0.5, 0.5]), np.array([0.1, np.nan, 0.1]), np.ones((3, 1)), box, spec
+    )
+    assert feasible.tolist() == [False, False, True]
+    assert np.isnan(a[:2]).all() and np.isnan(b[:2]).all()
+    assert np.array_equal(u, np.ones((3, 1)))
+
+
+# --- closed form against the dense simplex and the enumeration oracle -------
+
+_EPS = 1e-6
+_V_EDGES = [0.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12]
+_W_EDGES = [0.0, 1.0, 1e6, float(np.nextafter(1e6, 0.0)), 999999.999999, 1e12]
+
+
+def _oracle(prob, spec, m):
+    """lp_brute_force on build_lp_problem: the single-stage LP, or stage 1 (least b)."""
+    if spec.weight_w >= spec.lexicographic_threshold:
+        prob = replace(prob, objective=np.concatenate([np.zeros(m), [0.0, -1.0]]))
+    return lp_brute_force(prob)
+
+
+def _breach(spec, v, g, a, b):
+    """Largest breach of the certificate constraints by (a, b); at most 0 when feasible."""
+    delta = spec.delta
+    parts = [a * v - b - g, spec.strict_margin_eps - (a - b), a - delta]
+    if spec.variant == ProblemVariant.PROBLEM_II:
+        parts += [-delta - a, -delta - b, b - delta]
+    else:
+        parts.append(-b)
+    return max(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant_ii=st.booleans(),
+    v=st.one_of(st.sampled_from(_V_EDGES), st.floats(-3.0, 1.5)),
+    c0=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+    c=st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)), min_size=2, max_size=2),
+    delta=st.one_of(st.just(_EPS), st.floats(1e-3, 20.0)),
+    w=st.one_of(st.sampled_from(_W_EDGES), st.floats(0.0, 1e3), st.floats(1e6, 1e12)),
+)
+def test_closed_form_matches_simplex_and_oracle(variant_ii, v, c0, c, delta, w):
+    """certificate_solve against the dense simplex and the enumeration oracle.
+
+    Both references accept points that break a constraint by up to their
+    feasibility tolerance, which the weight w can turn into a large gain in
+    objective.  So they bound the kernel from one side always, and from both
+    sides only when the point they return breaks no constraint.
+    """
+    if not variant_ii:
+        v = abs(v)  # variant I barriers are nonnegative
+    spec = ProblemSpec(
+        variant=ProblemVariant.PROBLEM_II if variant_ii else ProblemVariant.PROBLEM_I,
+        barrier=quadratic_barrier(None, [1.0], 0.0),  # barrier value = state
+        weight_w=w,
+        delta=delta,
+        strict_margin_eps=_EPS,
+    )
+    # dx = (c0 + c.u) dt with no noise, so at x = v the generator is c0 + c.u
+    model = linear_model(np.zeros((1, 1)), [c0], [c], np.zeros((1, 1)), [-1.0, -2.0], [1.0, 3.0])
+    box = model.control_box
+    x = np.array([v])
+    decomp = generator_decompose(model, spec.barrier, x)
+    u, a, b, feasible = certificate_solve(
+        np.array([v]), np.array([decomp.c0]), decomp.c[None, :], box, spec
+    )
+    u, a, b, feasible = u[0], float(a[0]), float(b[0]), bool(feasible[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # v on or outside the variant's range
+        dense = synthesize_control(model, spec, x)
+        prob = build_lp_problem(decomp, v, spec, box)
+    oracle = _oracle(prob, spec, box.m)
+    g = decomp.c0 + float(decomp.c @ u)
+    assert g == decomp.c0 + float(decomp.c @ bang_bang(decomp.c, box))
+
+    if not feasible:
+        assert np.isnan(a) and np.isnan(b)
+        # a reference may find a tolerance-feasible point only on a state
+        # that a 1e-7 shift of c0 makes feasible
+        if dense.status == FEASIBLE or oracle.status == OPTIMAL:
+            tau = 1e-7 * (1.0 + abs(g) + abs(v) * delta)
+            shifted = certificate_solve(
+                np.array([v]), np.array([decomp.c0 + tau]), decomp.c[None, :], box, spec
+            )[3]
+            assert shifted[0]
+        return
+
+    def roundoff(ref_a, ref_b):
+        return 1e-12 * (1.0 + abs(g) + abs(v * ref_a) + abs(ref_a) + abs(ref_b))
+
+    assert _breach(spec, v, g, a, b) <= roundoff(a, b)
+    assert dense.status == FEASIBLE
+    assert oracle.status == OPTIMAL
+    refs = [(dense.a, dense.b), (float(oracle.z[-2]), float(oracle.z[-1]))]
+    exact = [_breach(spec, v, g, ra, rb) <= 0.0 for ra, rb in refs]
+
+    if w < spec.lexicographic_threshold:
+        # the references search a superset of the feasible set
+        for (ref_a, ref_b), ref_exact in zip(refs, exact):
+            tol = 1e-7 * (1.0 + abs(ref_a) + w * abs(ref_b))
+            assert a - w * b <= ref_a - w * ref_b + tol
+            if ref_exact:
+                assert a - w * b >= ref_a - w * ref_b - tol
+        return
+
+    # stage 1: b lies in [b1, b1 + STAGE2_B_TOL], and the oracle's least b
+    # is at most b1, or at least b1 when its point is feasible
+    (dense_a, dense_b), (_, oracle_b) = refs
+    assert b >= oracle_b - 1e-7 * (1.0 + abs(oracle_b))
+    if exact[1]:
+        assert b <= oracle_b + STAGE2_B_TOL + roundoff(a, b)
+    # stage 2, against the simplex's two-stage solve: the point with the
+    # smaller b also meets the other solve's cap, so the other's a is at
+    # least its a.  a = (cap + g) / v carries the roundoff of cap divided by v.
+    if exact[0]:
+        scale = 1.0 + abs(dense_a) + abs(dense_b)
+        assert abs(b - dense_b) <= 1e-7 * scale
+        tol = 1e-7 * scale + roundoff(a, b) * (1.0 / abs(v) if v != 0.0 else 0.0)
+        if b <= dense_b:
+            assert a <= dense_a + tol
+        if dense_b <= b:
+            assert a >= dense_a - tol
