@@ -45,7 +45,7 @@ from .model import (
     quadratic_barrier,
     scenario_barrier,
 )
-from .sim import INTERIOR, classify_state, simulate_path
+from .sim import INTERIOR, _whole_steps, classify_state, simulate_path
 from .synthesis import ProblemSpec, ProblemVariant
 
 __all__ = [
@@ -263,6 +263,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
         z=_number("z", raw.get("z", _OPTIONAL["z"]), positive=True),
         mc_horizon=_number("mc_horizon", raw.get("mc_horizon", _OPTIONAL["mc_horizon"]), positive=True),
     )
+    if cfg.T != "inf" and _whole_steps(cfg.T, cfg.dt) is None:
+        raise ConfigError("T", f"must be a whole number of dt={cfg.dt!r} steps, got {cfg.T!r}")
 
     # cross-field checks need the actual objects
     model = _build_model(cfg.model)
@@ -388,23 +390,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
         a0 = float(traj.cert_a[0]) if t0_feasible else None
         b0 = float(traj.cert_b[0]) if t0_feasible else None
         fin0, inf0 = curve[0]
-        summary = {
-            "n_paths": mc.n_paths,
-            "n_target": mc.n_target,
-            "n_unsafe": mc.n_unsafe,
-            "n_timeout": mc.n_timeout,
-            "estimate": mc.estimate,
-            "ci_lo": mc.ci_lo,
-            "ci_hi": mc.ci_hi,
-            "z": mc.z,
-            "master_seed": mc.master_seed,
-            "bound_finite_t0": fin0,
-            "bound_infinite_t0": inf0,
-            "cert_t0": {
-                "a": a0,
-                "b": b0,
-                "status": "feasible" if t0_feasible else "fallback",
-            },
+        summary = asdict(mc)
+        summary["bound_finite_t0"] = fin0
+        summary["bound_infinite_t0"] = inf0
+        summary["cert_t0"] = {
+            "a": a0,
+            "b": b0,
+            "status": "feasible" if t0_feasible else "fallback",
         }
         with open(out / "mc_summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, allow_nan=False)

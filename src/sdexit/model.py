@@ -10,7 +10,8 @@ controls are plain numpy arrays.  Evaluators must broadcast over a leading
 batch axis: input (..., n) gives outputs (..., n), (..., n, m), (..., n, k),
 and a barrier's value, gradient and Hessian give (...,), (..., n),
 (..., n, n).  Single-state entry points evaluate at a batch of one, so a
-state gets the same bits alone as inside a simulated batch.
+state gets the same bits alone as inside a simulated batch.  The input
+dimension m is not stored apart: it is the control box's.
 
 A barrier is a twice continuously differentiable scalar function with
 analytic gradient and Hessian.  Region semantics (safe set, target level set)
@@ -19,7 +20,7 @@ are owned by the synthesis layer, not by the barrier itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -71,11 +72,11 @@ class ControlBox:
 class SdeModel:
     """Controlled SDE with box-constrained input.
 
-    f1, f2, sigma map a state (n,) to arrays of shape (n,), (n, m), (n, k).
+    f1, f2, sigma map states (..., n) to arrays of shape (..., n),
+    (..., n, m), (..., n, k); the input dimension m is control_box.m.
     """
 
     n: int
-    m: int
     k: int
     f1: Callable[[np.ndarray], np.ndarray]
     f2: Callable[[np.ndarray], np.ndarray]
@@ -83,11 +84,9 @@ class SdeModel:
     control_box: ControlBox
     name: str = ""
 
-    def __post_init__(self):
-        if self.control_box.m != self.m:
-            raise DimensionError(
-                f"control box has {self.control_box.m} inputs, model declares {self.m}"
-            )
+    @property
+    def m(self) -> int:
+        return self.control_box.m
 
 
 @dataclass(frozen=True)
@@ -101,32 +100,61 @@ class BarrierFunction:
     name: str = ""
 
 
-def validate_model(model: SdeModel, x: np.ndarray | None = None) -> None:
-    """Smoke-evaluate the model at one state and check declared shapes.
+def _evaluate(label: str, fn: Callable, xs: np.ndarray, want: tuple) -> np.ndarray:
+    """fn at a batch of states, required to have shape (P,) + want."""
+    try:
+        arr = np.asarray(fn(xs), dtype=float)
+    except (IndexError, ValueError) as exc:
+        raise DimensionError(f"{label}(x) fails on states of shape {xs.shape}: {exc}") from exc
+    if arr.shape != xs.shape[:1] + want:
+        raise DimensionError(
+            f"{label}(x) has shape {arr.shape} on states {xs.shape}, expected {xs.shape[:1] + want}"
+        )
+    return arr
 
-    Raises DimensionError or DomainError on shape mismatch or non-finite
-    output.  Factories call this once at construction time.
+
+def validate_model(model: SdeModel, x: np.ndarray | None = None) -> None:
+    """Smoke-evaluate the model on a batch of two states and check it.
+
+    The batch is x (zeros by default) and x + (1, 2, ..., n).  Each field
+    must have the batched shape the model declares, be finite, and give each
+    row the same bits as that state evaluated alone as a batch of one.
+    Raises DimensionError or DomainError otherwise.  Factories call this
+    once at construction time.
     """
     if x is None:
         x = np.zeros(model.n)
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n,):
         raise DimensionError(f"state shape {x.shape}, expected {(model.n,)}")
-    outs = [
-        ("f1", model.f1(x), (model.n,)),
-        ("f2", model.f2(x), (model.n, model.m)),
-        ("sigma", model.sigma(x), (model.n, model.k)),
+    xs = np.stack([x, x + np.arange(1.0, model.n + 1.0)])
+    fields = [
+        ("f1", model.f1, (model.n,)),
+        ("f2", model.f2, (model.n, model.m)),
+        ("sigma", model.sigma, (model.n, model.k)),
     ]
-    for label, arr, want in outs:
-        arr = np.asarray(arr)
-        if arr.shape != want:
-            raise DimensionError(f"{label}(x) has shape {arr.shape}, expected {want}")
+    for label, fn, want in fields:
+        arr = _evaluate(label, fn, xs, want)
         if not np.isfinite(arr).all():
-            raise DomainError(f"{label}(x) is not finite at {x}")
+            raise DomainError(f"{label}(x) is not finite at {xs}")
+        alone = np.concatenate([_evaluate(label, fn, xs[i : i + 1], want) for i in range(2)])
+        if alone.tobytes() != arr.tobytes():
+            raise DomainError(f"{label}(x) on the batch {xs} differs from each state alone")
 
 
 # ---------------------------------------------------------------------------
 # Built-in models
+
+
+def _constant_field(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator x -> mat over x's batch axes, a fresh array on every call."""
+
+    def field(x):
+        out = np.empty(np.shape(x)[:-1] + mat.shape)
+        out[...] = mat
+        return out
+
+    return field
 
 
 def acc_model(
@@ -157,23 +185,12 @@ def acc_model(
         out[..., 1] = lead_velocity - v
         return out
 
-    def control_mat(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 1))
-        out[..., 0, 0] = inv_m
-        return out
-
-    def diffusion(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
-
     model = SdeModel(
         n=2,
-        m=1,
         k=2,
         f1=drift,
-        f2=control_mat,
-        sigma=diffusion,
+        f2=_constant_field(np.array([[inv_m], [0.0]])),
+        sigma=_constant_field(np.eye(2)),
         control_box=ControlBox(np.array([u_lo]), np.array([u_hi])),
         name="acc",
     )
@@ -184,33 +201,10 @@ def acc_model(
 def deterministic_1d_model(rate: float = 1.0) -> SdeModel:
     """One-dimensional noiseless drift dx = rate dt; control has no effect.
 
-    Used for exact, grid-predictable simulator tests.
+    Used for exact, grid-predictable simulator tests.  The linear model's
+    drift 0 x + rate equals rate bit for bit at every finite x.
     """
-
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        return np.full_like(x, rate)
-
-    def control_mat(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (1, 1))
-
-    def diffusion(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (1, 1))
-
-    model = SdeModel(
-        n=1,
-        m=1,
-        k=1,
-        f1=drift,
-        f2=control_mat,
-        sigma=diffusion,
-        control_box=ControlBox(np.array([-1.0]), np.array([1.0])),
-        name="deterministic_1d",
-    )
-    validate_model(model)
-    return model
+    return linear_model([[0.0]], [rate], [[0.0]], [[0.0]], [-1.0], [1.0])
 
 
 def linear_model(
@@ -231,8 +225,6 @@ def linear_model(
         raise DimensionError(f"A has shape {a_mat.shape}, expected {(n, n)}")
     if b_mat.shape[0] != n or sigma_mat.shape[0] != n:
         raise DimensionError("B and sigma must have n rows")
-    m = b_mat.shape[1]
-    k = sigma_mat.shape[1]
     for arr, label in ((a_mat, "A"), (d_vec, "d"), (b_mat, "B"), (sigma_mat, "sigma")):
         if not np.isfinite(arr).all():
             raise DomainError(f"{label} contains non-finite entries")
@@ -242,21 +234,12 @@ def linear_model(
         x = np.asarray(x, dtype=float)
         return np.einsum("...i,ji->...j", x, a_mat) + d_vec
 
-    def control_mat(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(b_mat, x.shape[:-1] + (n, m)).copy()
-
-    def diffusion(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(sigma_mat, x.shape[:-1] + (n, k)).copy()
-
     model = SdeModel(
         n=n,
-        m=m,
-        k=k,
+        k=sigma_mat.shape[1],
         f1=drift,
-        f2=control_mat,
-        sigma=diffusion,
+        f2=_constant_field(b_mat),
+        sigma=_constant_field(sigma_mat),
         control_box=ControlBox(np.asarray(u_lo, dtype=float), np.asarray(u_hi, dtype=float)),
         name="linear",
     )
@@ -286,7 +269,6 @@ def quadratic_barrier(
         raise DomainError("barrier coefficients must be finite")
     # symmetrize so gradient/Hessian formulas below are exact
     q_mat = 0.5 * (q_mat + q_mat.T)
-    hess_const = 2.0 * q_mat
 
     # einsum, not @: BLAS picks different kernels (and ulps) by batch shape,
     # which would break bit-reproducibility of batched vs single evaluation
@@ -299,11 +281,9 @@ def quadratic_barrier(
         x = np.asarray(x, dtype=float)
         return 2.0 * np.einsum("...i,ij->...j", x, q_mat) + c_vec
 
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(hess_const, x.shape[:-1] + (n, n)).copy()
-
-    return BarrierFunction(value=value, gradient=gradient, hessian=hessian, n=n, name=name)
+    return BarrierFunction(
+        value=value, gradient=gradient, hessian=_constant_field(2.0 * q_mat), n=n, name=name
+    )
 
 
 def scenario_barrier(index: int) -> BarrierFunction:

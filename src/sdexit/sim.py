@@ -144,8 +144,7 @@ def euler_maruyama_step(
         raise DimensionError(f"control shape {u.shape}, expected {(model.m,)}")
     if dw.shape != (model.k,):
         raise DimensionError(f"noise shape {dw.shape}, expected {(model.k,)}")
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+    _check_dt(dt)
     xs = x[None, :]
     f1 = np.asarray(model.f1(xs), dtype=float)
     f2 = np.asarray(model.f2(xs), dtype=float)
@@ -168,16 +167,26 @@ def derive_path_seed(master_seed: int, path_index: int) -> int:
     return z
 
 
-def _grid_steps(horizon: float, dt: float) -> int:
+def _check_dt(dt: float) -> None:
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be positive and finite, got {dt}")
-    if not math.isfinite(horizon) or horizon < 0:
-        raise DomainError(f"horizon must be finite and nonnegative, got {horizon}")
+
+
+def _whole_steps(horizon: float, dt: float) -> int | None:
+    """horizon / dt when it is a whole number to 1e-9 relative, else None."""
     ratio = horizon / dt
     nearest = round(ratio)
-    if abs(ratio - nearest) <= 1e-9 * max(1.0, ratio):
-        return int(nearest)
-    return int(math.ceil(ratio))  # horizon not a grid multiple: round the grid up
+    return int(nearest) if abs(ratio - nearest) <= 1e-9 * max(1.0, ratio) else None
+
+
+def _grid_steps(horizon: float, dt: float) -> int:
+    _check_dt(dt)
+    if not math.isfinite(horizon) or horizon < 0:
+        raise DomainError(f"horizon must be finite and nonnegative, got {horizon}")
+    steps = _whole_steps(horizon, dt)
+    if steps is None:
+        return int(math.ceil(horizon / dt))  # horizon not a grid multiple: round the grid up
+    return steps
 
 
 def run_paths(

@@ -131,6 +131,14 @@ def test_infinite_horizon_accepted_as_string():
     assert cfg.mc_horizon == 20.0
 
 
+def test_horizon_must_be_whole_number_of_steps():
+    with pytest.raises(ConfigError) as exc:
+        validate_config(_raw(T=2.0, dt=0.3))
+    assert _field_of(exc.value) == "T"
+    assert validate_config(_raw(T=0.3, dt=0.1)).T == 0.3  # 0.3 / 0.1 is 2.9999999999999996
+    assert validate_config(_raw(T="inf", dt=0.3)).T == "inf"
+
+
 def test_variant_must_be_known():
     with pytest.raises(ConfigError) as exc:
         validate_config(_raw(variant="ProblemIII"))
@@ -312,6 +320,17 @@ def test_cli_rejects_bad_override_like_bad_file(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "T" in err
+
+
+def test_cli_run_horizon_off_grid_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "res"
+    rc = cli_main(
+        ["run", str(builtin_config_path("scenario1_w1")), "--dt", "0.3", "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "T" in err
+    assert not out.exists()
 
 
 def test_cli_validate_prints_normal_form(tmp_path, capsys):

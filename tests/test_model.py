@@ -1,5 +1,7 @@
 """Model factories, barrier evaluation, and derivative self-checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,64 @@ def test_validate_model_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         validate_model(m, np.zeros(3))
     validate_model(bad)  # well-formed 1-D model passes
+
+
+@pytest.mark.parametrize(
+    "drift, error",
+    [
+        # rotation written for one state: [[1, 2], [3, 4]] gives [[3, 4], [-1, -2]]
+        (lambda x: np.array([x[1], -x[0]]), DimensionError),
+        # coordinate swap written for one state: on a batch it swaps the states
+        (lambda x: np.asarray(x)[::-1], DomainError),
+    ],
+    ids=["rotation", "swap"],
+)
+def test_validate_model_rejects_single_state_only_fields(drift, error):
+    base = linear_model(np.zeros((2, 2)), np.zeros(2), [[1.0], [0.0]], np.eye(2), [-1.0], [1.0])
+    model = dataclasses.replace(base, f1=drift)
+    assert drift(np.array([1.0, 2.0])).shape == (2,)
+    assert drift(np.array([[1.0, 2.0], [3.0, 4.0]])).shape == (2, 2)
+    with pytest.raises(error):
+        validate_model(model)
+
+
+def _constant_fields():
+    acc = acc_model()
+    lin = linear_model(
+        [[0.0, 1.0], [-1.0, 0.0]], [0.5, 0.0], [[0.0], [2.0]], [[0.3, 0.0], [0.1, 0.2]],
+        [-1.0], [1.0],
+    )
+    bar = quadratic_barrier([[1.0, 0.5], [0.0, 2.0]], [0.1, -0.2], 0.3)
+    return {
+        "acc.f2": acc.f2,
+        "acc.sigma": acc.sigma,
+        "linear.f2": lin.f2,
+        "linear.sigma": lin.sigma,
+        "quadratic.hessian": bar.hessian,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_constant_fields()))
+def test_constant_fields_return_fresh_arrays(name):
+    field = _constant_fields()[name]
+    for x in (np.array([0.4, -1.2]), np.zeros((3, 2)), np.zeros((2, 3, 2))):
+        first = field(x)
+        want = first.copy()
+        assert first.shape[: x.ndim - 1] == x.shape[:-1]
+        first += 7.0
+        assert np.array_equal(field(x), want)
+
+
+def test_linear_and_quadratic_batched_rows_match_single_states():
+    rng = np.random.default_rng(11)
+    lin = linear_model(
+        rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=(3, 2)),
+        rng.normal(size=(3, 3)), [-1.0, -2.0], [1.0, 2.0],
+    )
+    bar = quadratic_barrier(rng.normal(size=(3, 3)), rng.normal(size=3), 0.7)
+    xs = rng.normal(size=(40, 3))
+    fields = (lin.f1, lin.f2, lin.sigma, bar.value, bar.gradient, bar.hessian)
+    batches = [np.asarray(fn(xs)) for fn in fields]
+    for i, x in enumerate(xs):
+        for fn, batch in zip(fields, batches):
+            assert np.asarray(fn(x)).tobytes() == batch[i].tobytes()

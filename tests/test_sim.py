@@ -72,6 +72,13 @@ def test_euler_step_matches_hand_arithmetic():
         euler_maruyama_step(m, np.array([1.0]), np.array([0.5, 0.1]), 0.1, np.array([0.2]))
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_euler_step_rejects_non_finite_dt(dt):
+    m = deterministic_1d_model(rate=1.0)
+    with pytest.raises(DomainError):
+        euler_maruyama_step(m, np.array([1.0]), np.array([0.5]), dt, np.array([0.2]))
+
+
 def test_exit_up_on_exact_grid_time():
     m = deterministic_1d_model(rate=1.0)
     traj = simulate_path(m, _spec_1d(), np.array([0.9]), 0.01, 1.0, path_seed=0)
@@ -207,7 +214,7 @@ def test_blowup_marks_unsafe_with_flag():
     from sdexit import ControlBox, SdeModel
 
     m = SdeModel(
-        n=1, m=1, k=1, f1=drift, f2=control_mat, sigma=diffusion,
+        n=1, k=1, f1=drift, f2=control_mat, sigma=diffusion,
         control_box=ControlBox(lo=np.array([0.0]), hi=np.array([0.0])),
         name="explosive",
     )
