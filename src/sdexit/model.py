@@ -52,8 +52,8 @@ class ControlBox:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
+        lo = np.array(self.lo, dtype=float, ndmin=1)  # copies: the caller keeps its arrays
+        hi = np.array(self.hi, dtype=float, ndmin=1)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionError(f"control box shapes {lo.shape} vs {hi.shape}")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -216,10 +216,11 @@ def linear_model(
     u_hi: np.ndarray,
 ) -> SdeModel:
     """Constant-coefficient model dx = (A x + d + B u) dt + S dW."""
-    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
-    d_vec = np.atleast_1d(np.asarray(d_vec, dtype=float))
-    b_mat = np.atleast_2d(np.asarray(b_mat, dtype=float))
-    sigma_mat = np.atleast_2d(np.asarray(sigma_mat, dtype=float))
+    # copies, so a later change to the caller's arrays cannot reach the model
+    a_mat = np.array(a_mat, dtype=float, ndmin=2)
+    d_vec = np.array(d_vec, dtype=float, ndmin=1)
+    b_mat = np.array(b_mat, dtype=float, ndmin=2)
+    sigma_mat = np.array(sigma_mat, dtype=float, ndmin=2)
     n = d_vec.shape[0]
     if a_mat.shape != (n, n):
         raise DimensionError(f"A has shape {a_mat.shape}, expected {(n, n)}")
@@ -240,7 +241,7 @@ def linear_model(
         f1=drift,
         f2=_constant_field(b_mat),
         sigma=_constant_field(sigma_mat),
-        control_box=ControlBox(np.asarray(u_lo, dtype=float), np.asarray(u_hi, dtype=float)),
+        control_box=ControlBox(u_lo, u_hi),
         name="linear",
     )
     validate_model(model)
@@ -258,7 +259,9 @@ def quadratic_barrier(
     name: str = "quadratic",
 ) -> BarrierFunction:
     """Barrier v(x) = x'Qx + c'x + d with Q symmetric (or None for affine)."""
-    c_vec = np.atleast_1d(np.asarray(c_vec, dtype=float))
+    # copies, like Q's symmetrized form below, so the caller's arrays cannot reach the barrier
+    c_vec = np.array(c_vec, dtype=float, ndmin=1)
+    d = float(d)
     n = c_vec.shape[0]
     if q_mat is None:
         q_mat = np.zeros((n, n))

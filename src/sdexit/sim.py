@@ -6,7 +6,10 @@ feasible or not, so a step needs neither the LP nor the barrier's Hessian.
 After each step the state is classified against closed conditions (variant
 I: h >= 1 target, h <= 0 unsafe; variant II: g >= 1 target); on the first
 hit the path freezes, mirroring the stopped process whose generator vanishes
-on the boundary.  A recorded path's certificates are solved after the loop.
+on the boundary.  The loop steps one compact array holding only the live
+paths' states and drops a path's row in the step it exits, so an exited path
+costs no further field, barrier, noise or Euler work.  A recorded path's
+certificates are solved after the loop.
 
 Noise is reproducible per path: a 64-bit path seed feeds one PCG64
 generator, which draws the path's standard normals in blocks of 128 steps,
@@ -220,8 +223,8 @@ def run_paths(
     box = model.control_box
     n, k = model.n, model.k
 
-    states = np.repeat(x0[None, :], n_paths, axis=0)
-    live = np.arange(n_paths)  # rows of the paths not yet stopped
+    xs = np.repeat(x0[None, :], n_paths, axis=0)  # row r: the state of path live[r]
+    live = np.arange(n_paths)  # the paths not yet stopped, in row order of xs
     last = np.full(n_paths, steps)  # last live row: the step a path exits in, else the grid end
     kind = np.full(n_paths, _CODE_TIMEOUT, dtype=np.int8)
     blowup = np.zeros(n_paths, dtype=bool)
@@ -231,38 +234,46 @@ def run_paths(
     noise = np.empty((n_paths, min(_NOISE_BLOCK, steps), k))  # row p: path p's current block
     if record:
         rec_states = np.empty((n_paths, steps + 1, n))  # rows past last + 1 are never written
-        rec_states[:, 0] = states
+        rec_states[:, 0] = x0
 
     for i in range(steps):
         if not live.size:
             break
-        xs = states[live]
         cvec, _, f1v, f2v, sgv = control_terms(model, spec.barrier, xs)
         j = i % _NOISE_BLOCK
         if j == 0:
-            block = noise[:, : min(_NOISE_BLOCK, steps - i)]
+            blen = min(_NOISE_BLOCK, steps - i)
             for p in live.tolist():
-                row = block[p]
-                gens[p].standard_normal(out=row)
-                row *= sqrt_dt
-        x_new = _euler_step(xs, f1v, f2v, sgv, bang_bang(cvec, box), dt, noise[live, j])
-        finite = np.isfinite(x_new).all(axis=1)
-        v_new = np.full(live.size, np.nan)
-        if finite.any():
-            v_new[finite] = spec.barrier.value(x_new[finite])
+                gens[p].standard_normal(out=noise[p, :blen])
+        dw = noise[live, j]
+        dw *= sqrt_dt
+        x_new = _euler_step(xs, f1v, f2v, sgv, bang_bang(cvec, box), dt, dw)
+        if np.isfinite(x_new).all():
+            blew = None
+            v_new = np.asarray(spec.barrier.value(x_new), dtype=float)
+        else:
+            blew = ~np.isfinite(x_new).all(axis=1)
+            finite = ~blew
+            v_new = np.full(live.size, np.nan)
+            if finite.any():
+                v_new[finite] = spec.barrier.value(x_new[finite])
+            x_new[blew] = xs[blew]  # a blown-up path freezes at its last finite state
         hit_target, hit_unsafe = _hits(spec.variant, v_new)
-        blew = ~finite
-        states[live[finite]] = x_new[finite]
+        if blew is not None:  # a blow-up is an unsafe-equivalent exit
+            hit_unsafe |= blew
+            blowup[live[blew]] = True
         if record:
-            rec_states[live, i + 1] = states[live]
-        done = hit_target | hit_unsafe | blew
+            rec_states[live, i + 1] = x_new
+        done = hit_target | hit_unsafe
         if done.any():
             kind[live[hit_target]] = _CODE_TARGET
             kind[live[hit_unsafe]] = _CODE_UNSAFE
-            kind[live[blew]] = _CODE_UNSAFE
-            blowup[live[blew]] = True
             last[live[done]] = i
-            live = live[~done]
+            keep = ~done
+            live = live[keep]
+            xs = x_new[keep]
+        else:
+            xs = x_new
 
     exit_time = np.where(kind == _CODE_TIMEOUT, np.nan, (last + 1) * dt)
     if not record:

@@ -239,3 +239,53 @@ def test_linear_and_quadratic_batched_rows_match_single_states():
     for i, x in enumerate(xs):
         for fn, batch in zip(fields, batches):
             assert np.asarray(fn(x)).tobytes() == batch[i].tobytes()
+
+
+def _poke(arr, value=np.nan):
+    """Overwrite the first entry of a caller's array after construction."""
+    arr.flat[0] = value
+
+
+@pytest.mark.parametrize("name", ["lo", "hi"])
+def test_control_box_keeps_no_caller_array(name):
+    args = {"lo": np.array([-1.0, -2.0]), "hi": np.array([1.0, 2.0])}
+    box = ControlBox(**args)
+    want = (box.lo.copy(), box.hi.copy())
+    _poke(args[name])
+    assert np.array_equal(box.lo, want[0]) and np.array_equal(box.hi, want[1])
+
+
+@pytest.mark.parametrize("name", ["a_mat", "d_vec", "b_mat", "sigma_mat", "u_lo", "u_hi"])
+def test_linear_model_keeps_no_caller_array(name):
+    args = {
+        "a_mat": np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        "d_vec": np.array([0.5, 0.0]),
+        "b_mat": np.array([[0.0], [2.0]]),
+        "sigma_mat": np.array([[0.3, 0.0], [0.1, 0.2]]),
+        "u_lo": np.array([-1.0]),
+        "u_hi": np.array([1.0]),
+    }
+    m = linear_model(**args)
+    xs = np.array([[0.4, -1.2], [2.0, 3.0]])
+
+    def snapshot():
+        fields = [fn(xs) for fn in (m.f1, m.f2, m.sigma)]
+        return [a.tobytes() for a in (*fields, m.control_box.lo, m.control_box.hi)]
+
+    want = snapshot()
+    _poke(args[name])  # past the finiteness checks, if the model kept the array
+    assert snapshot() == want
+
+
+@pytest.mark.parametrize("name", ["q_mat", "c_vec", "d"])
+def test_quadratic_barrier_keeps_no_caller_array(name):
+    args = {
+        "q_mat": np.array([[1.0, 0.5], [0.0, 2.0]]),
+        "c_vec": np.array([1.0, 2.0]),
+        "d": np.array(0.5),
+    }
+    bar = quadratic_barrier(**args)
+    x = np.array([[1.0, 1.0]])
+    want = [np.asarray(fn(x)).tobytes() for fn in (bar.value, bar.gradient, bar.hessian)]
+    _poke(args[name], 100.0)
+    assert [np.asarray(fn(x)).tobytes() for fn in (bar.value, bar.gradient, bar.hessian)] == want

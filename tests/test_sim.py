@@ -1,5 +1,6 @@
 """Stopped-process simulator: exits, freezing, determinism, grid integrity."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -185,7 +186,10 @@ def test_batch_matches_scalar_paths_bitwise():
         assert np.array_equal(batch.controls[i], single.controls)
         assert np.array_equal(batch.cert_a[i], single.cert_a, equal_nan=True)
         assert np.array_equal(batch.cert_b[i], single.cert_b, equal_nan=True)
+        assert np.array_equal(batch.cert_feasible[i], single.cert_feasible)
         assert batch.kind_name(int(batch.kind[i])) == single.outcome.kind
+        assert np.array_equal(batch.exit_time[i], _exit_time(single), equal_nan=True)
+        assert batch.blowup[i] == single.outcome.blowup
 
 
 def test_unrecorded_batch_matches_recorded_outcomes():
@@ -228,6 +232,77 @@ def test_blowup_marks_unsafe_with_flag():
     assert traj.outcome.kind == EXITED_UNSAFE
     assert traj.outcome.blowup
     assert np.all(np.isfinite(traj.states))  # frozen at the last finite state
+
+
+def _exit_time(traj):
+    """A trajectory's exit time as run_paths reports it: NaN for a timeout."""
+    return np.nan if traj.outcome.exit_time is None else traj.outcome.exit_time
+
+
+def test_batch_with_blowups_matches_single_paths():
+    """Timeouts, target hits and blow-ups in one batch: each row equals its path run alone."""
+
+    def drift(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -np.asarray(x, dtype=float) ** 7
+
+    def control_mat(x):
+        return np.zeros(x.shape[:-1] + (1, 1))
+
+    def diffusion(x):
+        return np.full(x.shape[:-1] + (1, 1), 1.3)
+
+    from sdexit import ControlBox, SdeModel
+
+    m = SdeModel(
+        n=1, k=1, f1=drift, f2=control_mat, sigma=diffusion,
+        control_box=ControlBox(lo=np.array([0.0]), hi=np.array([0.0])),
+        name="overshooting",
+    )
+    # g(x) = -x^2 + 4x - 2.95 >= 1 on [2 - 0.05^0.5, 2 + 0.05^0.5]; no unsafe set
+    spec = ProblemSpec(
+        ProblemVariant.PROBLEM_II, quadratic_barrier([[-1.0]], [4.0], -2.95), 1.0, 10.0
+    )
+    x0, dt, horizon = np.zeros(1), 0.4, 6.0
+    seeds = [derive_path_seed(3, i) for i in range(40)]
+    batch = run_paths(m, spec, x0, dt, horizon, seeds, record=True)
+    timeout = np.isnan(batch.exit_time)
+    assert timeout.any() and batch.blowup.any() and (~timeout & ~batch.blowup).any()
+    for i, seed in enumerate(seeds):
+        single = simulate_path(m, spec, x0, dt, horizon, path_seed=seed)
+        assert np.array_equal(batch.states[i], single.states)
+        assert np.array_equal(batch.controls[i], single.controls)
+        assert np.array_equal(batch.cert_a[i], single.cert_a, equal_nan=True)
+        assert np.array_equal(batch.cert_b[i], single.cert_b, equal_nan=True)
+        assert np.array_equal(batch.cert_feasible[i], single.cert_feasible)
+        assert batch.kind_name(int(batch.kind[i])) == single.outcome.kind
+        assert np.array_equal(batch.exit_time[i], _exit_time(single), equal_nan=True)
+        assert batch.blowup[i] == single.outcome.blowup
+
+
+def test_exited_paths_cost_no_field_evaluations():
+    """f1 and the barrier see only live paths' states: a path costs nothing after its exit."""
+    rows = {"f1": 0, "value": 0}
+
+    def counted(fn, key):
+        def wrapped(x):
+            rows[key] += len(x)
+            return fn(x)
+
+        return wrapped
+
+    m = acc_model()
+    spec = scenario_spec(2, w=1.0)
+    model = dataclasses.replace(m, f1=counted(m.f1, "f1"))
+    barrier = dataclasses.replace(spec.barrier, value=counted(spec.barrier.value, "value"))
+    spec = dataclasses.replace(spec, barrier=barrier)
+    dt, steps = 0.01, 100
+    seeds = [derive_path_seed(7, i) for i in range(32)]
+    res = run_paths(model, spec, np.array([-0.5, 1.5]), dt, steps * dt, seeds)
+    live_steps = np.where(np.isnan(res.exit_time), steps, np.rint(res.exit_time / dt))
+    assert live_steps.min() < steps // 2 and live_steps.max() == steps
+    assert rows["f1"] == live_steps.sum()
+    assert rows["value"] == 1 + live_steps.sum()  # one more for the check that x0 is interior
 
 
 def test_horizon_not_multiple_of_dt_rounds_grid_up():
