@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["SdexitError", "DimensionError", "DomainError", "CapacityError", "ConfigError"]
+
 
 class SdexitError(Exception):
     """Base class for package-specific errors."""

@@ -27,7 +27,6 @@ __all__ = [
     "control_terms",
     "generator_batch",
     "generator_decompose",
-    "generator_value",
 ]
 
 
@@ -77,10 +76,3 @@ def generator_decompose(
     c0, c = generator_batch(model, barrier, x[None, :])
     return GeneratorDecomposition(c0=float(c0[0]), c=c[0])
 
-
-def generator_value(decomp: GeneratorDecomposition, u: np.ndarray) -> float:
-    """Evaluate the generator at a control using a precomputed decomposition."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != decomp.c.shape:
-        raise DimensionError(f"control shape {u.shape}, expected {decomp.c.shape}")
-    return decomp.c0 + float(decomp.c @ u)

@@ -1,8 +1,10 @@
 """Monte Carlo estimation of target-hit probabilities.
 
 Paths are independent and individually seeded (see sim.derive_path_seed),
-so the estimate depends only on (master_seed, n_paths) and not on chunking:
-tallies are order-independent integer sums.  Uncertainty is reported as a
+so the estimate depends only on (master_seed, n_paths), not on how the paths
+are grouped into ``run_paths`` calls: each path's outcome is the same in any
+batch, and tallies are order-independent integer sums.  Paths run in chunks
+of ``_CHUNK_PATHS``, which bounds memory.  Uncertainty is reported as a
 Wilson score interval, by default at z = 3.
 """
 
@@ -19,6 +21,8 @@ from .sim import _CODE_TARGET, _CODE_TIMEOUT, _CODE_UNSAFE, derive_path_seed, ru
 from .synthesis import ProblemSpec
 
 __all__ = ["McSummary", "wilson_interval", "estimate_exit_probability"]
+
+_CHUNK_PATHS = 2048  # paths per run_paths call
 
 
 @dataclass(frozen=True)
@@ -67,17 +71,14 @@ def estimate_exit_probability(
     master_seed: int,
     *,
     z: float = 3.0,
-    chunk_size: int = 2048,
 ) -> McSummary:
     """Estimate P(hit target within horizon) over n_paths seeded paths."""
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
-    if chunk_size < 1:
-        raise DomainError("chunk_size must be at least 1")
     _check_z(z)  # before any path is simulated
     n_target = n_unsafe = n_timeout = 0
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
+    for lo in range(0, n_paths, _CHUNK_PATHS):
+        hi = min(lo + _CHUNK_PATHS, n_paths)
         seeds = [derive_path_seed(master_seed, i) for i in range(lo, hi)]
         res = run_paths(model, spec, x0, dt, horizon, seeds, record=False)
         n_target += int(np.sum(res.kind == _CODE_TARGET))

@@ -47,6 +47,7 @@ __all__ = [
     "build_lp_problem",
     "bang_bang",
     "synthesize_control",
+    "synthesize_control_fast",
     "certificate_solve",
     "FEASIBLE",
     "FALLBACK",

@@ -2,12 +2,10 @@
 
 import numpy as np
 import pytest
-from conftest import scenario_spec
 
 from sdexit import (
     acc_model,
     generator_decompose,
-    generator_value,
     linear_model,
     quadratic_barrier,
     scenario_barrier,
@@ -75,11 +73,3 @@ def test_matches_index_loop_reference_on_random_inputs():
         assert decomp.c0 == pytest.approx(c0_ref, rel=1e-12, abs=1e-12)
         assert np.allclose(decomp.c, c_ref, rtol=1e-12, atol=1e-12)
 
-
-def test_generator_value_is_affine_in_u():
-    m = acc_model()
-    decomp = generator_decompose(m, scenario_barrier(1), np.array([0.2, 0.9]))
-    u = np.array([0.37])
-    assert generator_value(decomp, u) == pytest.approx(decomp.c0 + decomp.c[0] * 0.37)
-    spec = scenario_spec(1, w=1.0)
-    assert spec.barrier.n == m.n

@@ -98,18 +98,16 @@ def test_tallies_partition_paths():
     assert res.master_seed == 11
 
 
-def test_result_independent_of_chunking():
+def test_result_independent_of_chunking(monkeypatch):
     m = acc_model()
     spec = scenario_spec(2, w=1.0)
     x0 = np.array([-0.5, 1.5])
     base = estimate_exit_probability(m, spec, x0, 0.02, 1.0, 300, 17)
-    odd_chunks = estimate_exit_probability(
-        m, spec, x0, 0.02, 1.0, 300, 17, chunk_size=37
-    )
-    wide_chunks = estimate_exit_probability(
-        m, spec, x0, 0.02, 1.0, 300, 17, chunk_size=64
-    )
-    for other in (odd_chunks, wide_chunks):
+    others = []
+    for chunk in (37, 64):  # an odd chunk and a wide one
+        monkeypatch.setattr(sdexit.mc, "_CHUNK_PATHS", chunk)
+        others.append(estimate_exit_probability(m, spec, x0, 0.02, 1.0, 300, 17))
+    for other in others:
         assert other.n_target == base.n_target
         assert other.n_unsafe == base.n_unsafe
         assert other.n_timeout == base.n_timeout

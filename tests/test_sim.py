@@ -86,7 +86,7 @@ def test_exit_up_on_exact_grid_time():
     assert traj.outcome.kind == EXITED_TARGET
     assert traj.outcome.exit_time == 0.1
     assert traj.outcome.exit_time in traj.times
-    assert traj.outcome.final_state[0] >= 1.0
+    assert traj.states[-1, 0] >= 1.0
 
 
 def test_exit_down_hits_unsafe():
@@ -155,7 +155,6 @@ def test_same_seed_reproduces_bitwise():
     assert np.array_equal(a.cert_a, b.cert_a, equal_nan=True)
     assert a.outcome.kind == b.outcome.kind
     assert a.outcome.exit_time == b.outcome.exit_time
-    assert np.array_equal(a.outcome.final_state, b.outcome.final_state)
 
 
 def test_different_seeds_give_different_noise():
@@ -240,7 +239,11 @@ def _exit_time(traj):
 
 
 def test_batch_with_blowups_matches_single_paths():
-    """Timeouts, target hits and blow-ups in one batch: each row equals its path run alone."""
+    """Timeouts, target hits and blow-ups in one batch: each row equals its path run alone.
+
+    The barrier is never evaluated at a blown-up state: a blown-up row is
+    frozen before the step's one barrier call, which gets every live row.
+    """
 
     def drift(x):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -260,8 +263,17 @@ def test_batch_with_blowups_matches_single_paths():
         name="overshooting",
     )
     # g(x) = -x^2 + 4x - 2.95 >= 1 on [2 - 0.05^0.5, 2 + 0.05^0.5]; no unsafe set
+    barrier = quadratic_barrier([[-1.0]], [4.0], -2.95)
+
+    calls = []  # rows per barrier call
+
+    def finite_only(x):
+        assert np.isfinite(x).all(), "barrier evaluated at a blown-up state"
+        calls.append(len(x))
+        return barrier.value(x)
+
     spec = ProblemSpec(
-        ProblemVariant.PROBLEM_II, quadratic_barrier([[-1.0]], [4.0], -2.95), 1.0, 10.0
+        ProblemVariant.PROBLEM_II, dataclasses.replace(barrier, value=finite_only), 1.0, 10.0
     )
     x0, dt, horizon = np.zeros(1), 0.4, 6.0
     seeds = [derive_path_seed(3, i) for i in range(40)]
@@ -278,6 +290,11 @@ def test_batch_with_blowups_matches_single_paths():
         assert batch.kind_name(int(batch.kind[i])) == single.outcome.kind
         assert np.array_equal(batch.exit_time[i], _exit_time(single), equal_nan=True)
         assert batch.blowup[i] == single.outcome.blowup
+    calls.clear()
+    run_paths(m, spec, x0, dt, horizon, seeds)
+    live_steps = np.where(timeout, horizon / dt, batch.exit_time / dt).round()
+    assert len(calls) == 1 + live_steps.max()  # the check that x0 is interior, then one per step
+    assert sum(calls) == 1 + live_steps.sum()
 
 
 def test_exited_paths_cost_no_field_evaluations():
