@@ -13,17 +13,17 @@ Config files are strict JSON: unknown fields are rejected, booleans are not
 numbers, and every error names the offending field.  Overrides (--paths,
 --seed, --dt, --horizon, -w, --delta) are applied to the raw config before
 validation, so an invalid override fails exactly like an invalid file value.
-Exit codes: 0 success, 1 selftest failure, 2 configuration/usage error or
-an output directory that cannot be written.
+Exit codes: 0 success, 1 selftest failure, 2 configuration/usage error, an
+output directory that cannot be written, or a stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from importlib.resources import files as _pkg_files
@@ -330,10 +330,9 @@ def _echo(cfg: ScenarioConfig) -> dict:
     return echo
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format(float(value), ".17g")
+def _cells(column: np.ndarray) -> list[str]:
+    """One CSV column: each float with 17 significant digits, NaN as an empty cell."""
+    return ["" if x != x else f"{x:.17g}" for x in column.tolist()]
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
@@ -347,35 +346,25 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
 
     traj = simulate_path(model, spec, x0, cfg.dt, sim_horizon, path_seed=cfg.master_seed)
     values = np.asarray(spec.barrier.value(traj.states), dtype=float)
-    samples = list(zip(traj.times, values, traj.cert_a, traj.cert_b))
-    curve = bound_curve(spec, samples, bound_horizon)
+    curve = bound_curve(spec, traj.times, values, traj.cert_a, traj.cert_b, bound_horizon)
 
-    n, m = model.n, model.m
     header = (
         ["t"]
-        + [f"x{i + 1}" for i in range(n)]
-        + [f"u{i + 1}" for i in range(m)]
+        + [f"x{i + 1}" for i in range(model.n)]
+        + [f"u{i + 1}" for i in range(model.m)]
         + ["a", "b", "status", "barrier", "bound_finite", "bound_infinite"]
     )
+    table = np.column_stack(
+        (traj.times, traj.states, traj.controls, traj.cert_a, traj.cert_b, values, curve)
+    )
+    status = np.where(traj.cert_feasible, "feasible", "fallback")
+    # no cell needs csv quoting; "\r\n" is the csv module's default line end
     with open(out / "trajectory.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(traj.times.shape[0]):
-            feasible = bool(traj.cert_feasible[i])
-            fin_bound, inf_bound = curve[i]
-            writer.writerow(
-                [_fmt(traj.times[i])]
-                + [_fmt(v) for v in traj.states[i]]
-                + [_fmt(v) for v in traj.controls[i]]
-                + [
-                    _fmt(traj.cert_a[i]) if feasible else "",
-                    _fmt(traj.cert_b[i]) if feasible else "",
-                    "feasible" if feasible else "fallback",
-                    _fmt(values[i]),
-                    _fmt(fin_bound),
-                    _fmt(inf_bound),
-                ]
-            )
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(table), 1024):  # 1024 rows of strings alive at once
+            columns = [_cells(col) for col in table[lo : lo + 1024].T]
+            columns.insert(header.index("status"), status[lo : lo + 1024].tolist())
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
     with open(out / "config_echo.json", "w") as fh:
         json.dump(_echo(cfg), fh, indent=2, allow_nan=False)
@@ -386,18 +375,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
         mc = estimate_exit_probability(
             model, spec, x0, cfg.dt, sim_horizon, cfg.n_paths, cfg.master_seed, z=cfg.z
         )
-        t0_feasible = bool(traj.cert_feasible[0])
-        a0 = float(traj.cert_a[0]) if t0_feasible else None
-        b0 = float(traj.cert_b[0]) if t0_feasible else None
-        fin0, inf0 = curve[0]
+        fin0, inf0, a0, b0 = (
+            None if math.isnan(x) else float(x)
+            for x in (*curve[0], traj.cert_a[0], traj.cert_b[0])
+        )
         summary = asdict(mc)
         summary["bound_finite_t0"] = fin0
         summary["bound_infinite_t0"] = inf0
-        summary["cert_t0"] = {
-            "a": a0,
-            "b": b0,
-            "status": "feasible" if t0_feasible else "fallback",
-        }
+        summary["cert_t0"] = {"a": a0, "b": b0, "status": str(status[0])}
         with open(out / "mc_summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, allow_nan=False)
             fh.write("\n")
@@ -519,4 +504,11 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(cli_main(sys.argv[1:]))
+    try:
+        code = cli_main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`| head`): stdout to devnull, so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    raise SystemExit(code)

@@ -1,6 +1,7 @@
 """Config schema validation, scenario runs, output artifacts, CLI subcommands."""
 
 import csv
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -271,6 +272,35 @@ def test_infinite_horizon_uses_mc_surrogate(tmp_path):
     assert all(r[9] != "" for r in feasible)
     echo = json.loads((tmp_path / "config_echo.json").read_text())
     assert echo["T"] == "inf"
+
+
+def test_diff_artifacts_names_column_and_row(tmp_path, capsys):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "diff_artifacts.py"
+    spec = importlib.util.spec_from_file_location("diff_artifacts", tool)
+    diff_artifacts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(diff_artifacts)
+    cfg = load_scenario(_raw())
+    run_scenario(cfg, tmp_path / "a")
+    run_scenario(cfg, tmp_path / "b")
+    dirs = [str(tmp_path / "a"), str(tmp_path / "b")]
+    assert diff_artifacts.main(dirs) == 0
+    assert all(line.endswith(": same") for line in capsys.readouterr().out.splitlines())
+
+    path = tmp_path / "b" / "trajectory.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    row, col = 8, rows[0].index("x2")  # data row 7
+    before = float(rows[row][col])
+    after = math.nextafter(before, math.inf)
+    rows[row][col] = repr(after)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert diff_artifacts.main(dirs) == 1
+    differing = [line for line in capsys.readouterr().out.splitlines() if not line.endswith("same")]
+    assert len(differing) == 1
+    assert differing[0].startswith("trajectory.csv x2: max |diff| ")
+    assert ", first at row 7 " in differing[0]
+    assert float(differing[0].split()[4].rstrip(",")) == after - before
 
 
 def test_config_echo_round_trips(tmp_path):

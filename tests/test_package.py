@@ -20,14 +20,18 @@ def test_every_exported_name_is_public_in_a_submodule():
     assert sorted(set(sdexit.__all__) - listed) == []
 
 
-def _python_m_sdexit(*args):
+def _python_m_sdexit_env():
     src = str(Path(sdexit.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _python_m_sdexit(*args):
     return subprocess.run(
         [sys.executable, "-m", "sdexit", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_python_m_sdexit_env(),
         timeout=120,
     )
 
@@ -45,3 +49,37 @@ def test_python_m_sdexit_is_the_command_line(tmp_path, capsys):
     done = _python_m_sdexit("validate", str(bad))
     assert done.returncode == 2
     assert done.stdout == "" and "dt" in done.stderr
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # a 160-dimensional linear model echoes about 0.3 MB, far more than a pipe
+    # holds, so the command is still writing when its reader leaves
+    n = 160
+    cfg = json.loads(builtin_config_path("scenario1_w1").read_text())
+    cfg["model"] = {
+        "name": "linear",
+        "params": {
+            "A": [[0.0] * n] * n,
+            "d": [0.0] * n,
+            "B": [[1.0]] * n,
+            "sigma": [[1.0]] * n,
+            "u_lo": [-1.0],
+            "u_hi": [1.0],
+        },
+    }
+    cfg["scenario_barrier"] = {"c": [1.0] + [0.0] * (n - 1), "d": 0.5}
+    cfg["x0"] = [0.0] * n
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sdexit", "validate", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_python_m_sdexit_env(),
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == ""
+    assert proc.returncode == 2
