@@ -345,8 +345,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     bound_horizon = math.inf if infinite else float(cfg.T)
 
     traj = simulate_path(model, spec, x0, cfg.dt, sim_horizon, path_seed=cfg.master_seed)
-    values = np.asarray(spec.barrier.value(traj.states), dtype=float)
-    curve = bound_curve(spec, traj.times, values, traj.cert_a, traj.cert_b, bound_horizon)
+    curve = bound_curve(spec, traj.times, traj.values, traj.cert_a, traj.cert_b, bound_horizon)
 
     header = (
         ["t"]
@@ -355,7 +354,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
         + ["a", "b", "status", "barrier", "bound_finite", "bound_infinite"]
     )
     table = np.column_stack(
-        (traj.times, traj.states, traj.controls, traj.cert_a, traj.cert_b, values, curve)
+        (traj.times, traj.states, traj.controls, traj.cert_a, traj.cert_b, traj.values, curve)
     )
     status = np.where(traj.cert_feasible, "feasible", "fallback")
     # no cell needs csv quoting; "\r\n" is the csv module's default line end
@@ -370,14 +369,15 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
         json.dump(_echo(cfg), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
-    result: dict = {"outcome": traj.outcome.kind, "exit_time": traj.outcome.exit_time}
+    # NaN, the arrays' "no value", is JSON null
+    exit_time, fin0, inf0, a0, b0 = (
+        None if math.isnan(x) else float(x)
+        for x in (traj.exit_time, *curve[0], traj.cert_a[0], traj.cert_b[0])
+    )
+    result: dict = {"outcome": traj.outcome, "exit_time": exit_time}
     if cfg.n_paths >= 1:
         mc = estimate_exit_probability(
             model, spec, x0, cfg.dt, sim_horizon, cfg.n_paths, cfg.master_seed, z=cfg.z
-        )
-        fin0, inf0, a0, b0 = (
-            None if math.isnan(x) else float(x)
-            for x in (*curve[0], traj.cert_a[0], traj.cert_b[0])
         )
         summary = asdict(mc)
         summary["bound_finite_t0"] = fin0
@@ -512,3 +512,7 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 2
     raise SystemExit(code)
+
+
+if __name__ == "__main__":  # python -m sdexit.cli; python -m sdexit is the usual form
+    main()

@@ -8,8 +8,8 @@ I: h >= 1 target, h <= 0 unsafe; variant II: g >= 1 target); on the first
 hit the path freezes, mirroring the stopped process whose generator vanishes
 on the boundary.  The loop steps one compact array holding only the live
 paths' states and drops a path's row in the step it exits, so an exited path
-costs no further field, barrier, noise or Euler work.  A recorded path's
-certificates are solved after the loop.
+costs no further field, barrier, noise or Euler work.  A recorded path keeps
+the loop's barrier values, and its certificates are solved after the loop.
 
 Noise is reproducible per path: a 64-bit path seed feeds one PCG64
 generator, which draws the path's standard normals in blocks of 128 steps,
@@ -43,7 +43,6 @@ __all__ = [
     "EXITED_TARGET",
     "EXITED_UNSAFE",
     "TIMEOUT",
-    "ExitOutcome",
     "Trajectory",
     "BatchOutcomes",
     "classify_state",
@@ -69,23 +68,19 @@ _NOISE_BLOCK = 128  # time steps of noise drawn per live path at a time
 
 
 @dataclass(frozen=True)
-class ExitOutcome:
-    kind: str
-    exit_time: float | None  # None for Timeout
-    blowup: bool = False
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """One simulated path on the full time grid (frozen rows included)."""
 
     times: np.ndarray  # (S+1,)
     states: np.ndarray  # (S+1, n)
     controls: np.ndarray  # (S+1, m)
+    values: np.ndarray  # (S+1,) barrier values of the states
     cert_a: np.ndarray  # (S+1,), NaN on fallback steps
     cert_b: np.ndarray  # (S+1,)
     cert_feasible: np.ndarray  # (S+1,) bool
-    outcome: ExitOutcome
+    outcome: str  # EXITED_TARGET, EXITED_UNSAFE or TIMEOUT
+    exit_time: float  # NaN for Timeout
+    blowup: bool
 
 
 @dataclass(frozen=True)
@@ -98,6 +93,7 @@ class BatchOutcomes:
     times: np.ndarray | None = None
     states: np.ndarray | None = None  # (P, S+1, n)
     controls: np.ndarray | None = None
+    values: np.ndarray | None = None  # (P, S+1)
     cert_a: np.ndarray | None = None
     cert_b: np.ndarray | None = None
     cert_feasible: np.ndarray | None = None
@@ -204,15 +200,17 @@ def run_paths(
 
     Every path is a deterministic function of its own seed, so results are
     identical however the seeds are grouped into batches.  With record=True
-    the full per-path grids (states, controls, certificates) are returned;
-    frozen rows repeat the exit state and the last live row's values.
+    the full per-path grids (states, controls, barrier values, certificates)
+    are returned; frozen rows repeat the exit state, its value and the last
+    live row's control and certificate.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n,):
         raise DimensionError(f"x0 shape {x0.shape}, expected {(model.n,)}")
     if spec.barrier.n != model.n:
         raise DimensionError("barrier dimension does not match the model")
-    if classify_state(spec.variant, spec.barrier, x0) != INTERIOR:
+    v0 = np.asarray(spec.barrier.value(x0[None, :]), dtype=float)
+    if np.any(_hits(spec.variant, v0)):
         raise DomainError("x0 must lie in the open domain (strictly between the level sets)")
     steps = _grid_steps(horizon, dt)
     seeds = [int(s) & _MASK64 for s in path_seeds]
@@ -234,6 +232,7 @@ def run_paths(
     if record:
         rec_states = np.empty((n_paths, steps + 1, n))  # rows past last + 1 are never written
         rec_states[:, 0] = x0
+        rec_values = np.full((n_paths, steps + 1), v0[0])  # the barrier at rec_states
 
     for i in range(steps):
         if not live.size:
@@ -258,6 +257,7 @@ def run_paths(
         hit_unsafe |= blew  # a blow-up is an unsafe-equivalent exit
         if record:
             rec_states[live, i + 1] = x_new
+            rec_values[live, i + 1] = v_new
         done = hit_target | hit_unsafe
         if done.any():
             kind[live[hit_target]] = _CODE_TARGET
@@ -275,9 +275,9 @@ def run_paths(
     # A certificate depends only on its state: solve each path's live rows
     # 0..last in one batch, path after path; a frozen row repeats row last.
     rows = np.arange(steps + 1)
-    xs = rec_states[rows <= last[:, None]]
-    c0, cvec = generator_batch(model, spec.barrier, xs)
-    u, a, b, feas = certificate_solve(spec.barrier.value(xs), c0, cvec, box, spec)
+    solve = rows <= last[:, None]
+    c0, cvec = generator_batch(model, spec.barrier, rec_states[solve])
+    u, a, b, feas = certificate_solve(rec_values[solve], c0, cvec, box, spec)
     solved = (np.cumsum(last + 1) - (last + 1))[:, None] + np.minimum(rows, last[:, None])
     state_rows = np.minimum(rows, last[:, None] + 1)  # the exit state is row last + 1
     return BatchOutcomes(
@@ -287,6 +287,7 @@ def run_paths(
         times=rows * dt,
         states=np.take_along_axis(rec_states, state_rows[:, :, None], axis=1),
         controls=u[solved],
+        values=np.take_along_axis(rec_values, state_rows, axis=1),
         cert_a=a[solved],
         cert_b=b[solved],
         cert_feasible=feas[solved],
@@ -303,19 +304,15 @@ def simulate_path(
 ) -> Trajectory:
     """Simulate a single path; identical arguments give identical output."""
     res = run_paths(model, spec, x0, dt, horizon, [path_seed], record=True)
-    code = int(res.kind[0])
-    timeout = code == _CODE_TIMEOUT
-    outcome = ExitOutcome(
-        kind=BatchOutcomes.kind_name(code),
-        exit_time=None if timeout else float(res.exit_time[0]),
-        blowup=bool(res.blowup[0]),
-    )
     return Trajectory(
         times=res.times,
         states=res.states[0],
         controls=res.controls[0],
+        values=res.values[0],
         cert_a=res.cert_a[0],
         cert_b=res.cert_b[0],
         cert_feasible=res.cert_feasible[0],
-        outcome=outcome,
+        outcome=res.kind_name(res.kind[0]),
+        exit_time=float(res.exit_time[0]),
+        blowup=bool(res.blowup[0]),
     )

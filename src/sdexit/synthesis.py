@@ -36,7 +36,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .generator import GeneratorDecomposition, generator_decompose
+from .generator import GeneratorDecomposition, generator_batch, generator_decompose
 from .lp import OPTIMAL, LpProblem, lp_solve
 from .model import BarrierFunction, ControlBox, SdeModel
 
@@ -144,16 +144,6 @@ def bang_bang(c: np.ndarray, box: ControlBox) -> np.ndarray:
     return np.where(c > 0.0, box.hi, box.lo)
 
 
-def _state_terms(
-    model: SdeModel, spec: ProblemSpec, x: np.ndarray
-) -> tuple[GeneratorDecomposition, float]:
-    """Generator decomposition and barrier value at x, as run_paths computes them."""
-    x = np.asarray(x, dtype=float)
-    decomp = generator_decompose(model, spec.barrier, x)
-    v = float(np.asarray(spec.barrier.value(x[None, :]), dtype=float)[0])
-    return decomp, v
-
-
 def synthesize_control(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> SynthesisResult:
     """Solve the certificate LP at state x through the dense simplex.
 
@@ -162,7 +152,9 @@ def synthesize_control(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> Syn
     LP with objective a - w b.  Any non-optimal LP status degrades to the
     bang-bang fallback control with NaN certificate.
     """
-    decomp, v = _state_terms(model, spec, x)
+    x = np.asarray(x, dtype=float)
+    decomp = generator_decompose(model, spec.barrier, x)
+    v = float(spec.barrier.value(x[None, :])[0])
     box = model.control_box
     prob = build_lp_problem(decomp, v, spec, box)
     m = box.m
@@ -274,11 +266,15 @@ def _shared_control(raw: bytes) -> np.ndarray:
 
 
 def synthesize_control_fast(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> SynthesisResult:
-    """Reduced-kernel counterpart of synthesize_control (same result type)."""
-    decomp, v = _state_terms(model, spec, x)
-    u, a, b, feasible = certificate_solve(
-        np.array([v]), np.array([decomp.c0]), decomp.c[None, :], model.control_box, spec
-    )
+    """Reduced-kernel counterpart of synthesize_control: a recorded path's solve at P = 1."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.n,):
+        raise DimensionError(f"state shape {x.shape}, expected {(model.n,)}")
+    if spec.barrier.n != model.n:
+        raise DimensionError(f"barrier dimension {spec.barrier.n} != model dimension {model.n}")
+    xs = x[None, :]
+    c0, c = generator_batch(model, spec.barrier, xs)
+    u, a, b, feasible = certificate_solve(spec.barrier.value(xs), c0, c, model.control_box, spec)
     # an infeasible row already holds the bang-bang control and NaN (a, b),
     # so its lp_objective comes out NaN as well
     a0, b0 = float(a[0]), float(b[0])

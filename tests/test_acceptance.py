@@ -235,8 +235,8 @@ def test_criterion_4_deterministic_exit_time_and_estimate():
     )
     x0 = np.array([0.9])
     traj = simulate_path(model, spec, x0, 0.01, 0.2, path_seed=1)
-    assert traj.outcome.kind == EXITED_TARGET, traj.outcome.kind
-    assert traj.outcome.exit_time == 0.1, traj.outcome.exit_time  # exact grid point
+    assert traj.outcome == EXITED_TARGET, traj.outcome
+    assert traj.exit_time == 0.1, traj.exit_time  # exact grid point
 
     mc = estimate_exit_probability(model, spec, x0, 0.01, 0.2, 100, 2024)
     assert mc.estimate == 1.0, mc.estimate

@@ -235,10 +235,21 @@ def test_csv_floats_round_trip_17_digits(tmp_path):
     model, spec, x0 = instantiate(cfg)
     traj = simulate_path(model, spec, x0, cfg.dt, 2.0, path_seed=31)
     with open(tmp_path / "trajectory.csv", newline="") as fh:
-        body = list(csv.reader(fh))[1:]
+        header, *body = list(csv.reader(fh))
+    barrier = np.array([float(row[header.index("barrier")]) for row in body])
+    assert barrier.tobytes() == traj.values.tobytes()
     for i, row in enumerate(body):
         assert float(row[1]) == traj.states[i][0]
         assert float(row[2]) == traj.states[i][1]
+
+
+def test_timeout_prints_null_exit_time(tmp_path, capsys):
+    """A path still live at T: the run's JSON says Timeout, and null where the arrays hold NaN."""
+    cfg = str(builtin_config_path("scenario1_w1"))
+    argv = ["run", cfg, "--paths", "0", "--horizon", "0.001", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"outcome": "Timeout", "exit_time": None}
 
 
 def test_no_mc_summary_when_paths_zero(tmp_path):

@@ -26,9 +26,9 @@ def _python_m_sdexit_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def _python_m_sdexit(*args):
+def _python_m_sdexit(*args, module="sdexit"):
     return subprocess.run(
-        [sys.executable, "-m", "sdexit", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         env=_python_m_sdexit_env(),
@@ -49,6 +49,14 @@ def test_python_m_sdexit_is_the_command_line(tmp_path, capsys):
     done = _python_m_sdexit("validate", str(bad))
     assert done.returncode == 2
     assert done.stdout == "" and "dt" in done.stderr
+
+
+def test_python_m_sdexit_cli_runs_the_command_line():
+    cfg = str(builtin_config_path("scenario1_w1"))
+    done = _python_m_sdexit("validate", cfg, module="sdexit.cli")
+    assert done.returncode == 0
+    assert done.stdout == _python_m_sdexit("validate", cfg).stdout
+    assert json.loads(done.stdout)["T"] == 2.0
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

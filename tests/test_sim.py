@@ -83,25 +83,25 @@ def test_euler_step_rejects_non_finite_dt(dt):
 def test_exit_up_on_exact_grid_time():
     m = deterministic_1d_model(rate=1.0)
     traj = simulate_path(m, _spec_1d(), np.array([0.9]), 0.01, 1.0, path_seed=0)
-    assert traj.outcome.kind == EXITED_TARGET
-    assert traj.outcome.exit_time == 0.1
-    assert traj.outcome.exit_time in traj.times
+    assert traj.outcome == EXITED_TARGET
+    assert traj.exit_time == 0.1
+    assert traj.exit_time in traj.times
     assert traj.states[-1, 0] >= 1.0
 
 
 def test_exit_down_hits_unsafe():
     m = deterministic_1d_model(rate=-1.0)
     traj = simulate_path(m, _spec_1d(), np.array([0.1]), 0.01, 1.0, path_seed=0)
-    assert traj.outcome.kind == EXITED_UNSAFE
+    assert traj.outcome == EXITED_UNSAFE
     # accumulated 0.1 - 10*0.01 floats a hair above zero; hit lands within one step
-    assert abs(traj.outcome.exit_time - 0.1) <= 0.01 + 1e-12
+    assert abs(traj.exit_time - 0.1) <= 0.01 + 1e-12
 
 
 def test_zero_horizon_times_out_immediately():
     m = deterministic_1d_model(rate=1.0)
     traj = simulate_path(m, _spec_1d(), np.array([0.5]), 0.01, 0.0, path_seed=3)
-    assert traj.outcome.kind == TIMEOUT
-    assert traj.outcome.exit_time is None
+    assert traj.outcome == TIMEOUT
+    assert np.isnan(traj.exit_time)
     assert traj.times.shape == (1,)
     assert traj.cert_feasible[0]  # synthesis still runs at t=0
 
@@ -121,8 +121,8 @@ def test_grid_is_exact_arithmetic_progression():
     assert np.max(np.abs(diffs - 1e-3)) < 1e-12
     assert traj.states.shape == (2001, 2)
     assert traj.controls.shape == (2001, 1)
-    if traj.outcome.exit_time is not None:
-        assert traj.outcome.exit_time in traj.times
+    if not np.isnan(traj.exit_time):
+        assert traj.exit_time in traj.times
 
 
 def test_controls_stay_in_box_along_path():
@@ -137,10 +137,11 @@ def test_frozen_after_exit_exactly():
     m = acc_model()
     spec = scenario_spec(1, w=1.0)
     traj = simulate_path(m, spec, np.array([-0.5, 1.5]), 0.01, 2.0, path_seed=9)
-    assert traj.outcome.kind in (EXITED_TARGET, EXITED_UNSAFE)
-    exit_idx = int(np.where(traj.times == traj.outcome.exit_time)[0][0])
+    assert traj.outcome in (EXITED_TARGET, EXITED_UNSAFE)
+    exit_idx = int(np.where(traj.times == traj.exit_time)[0][0])
     tail = traj.states[exit_idx:]
     assert np.all(tail == tail[0])
+    assert np.all(traj.values[exit_idx:] == traj.values[exit_idx])
     assert np.all(traj.controls[exit_idx:] == traj.controls[exit_idx])
     assert np.all(traj.cert_a[exit_idx:] == traj.cert_a[exit_idx])
 
@@ -153,8 +154,9 @@ def test_same_seed_reproduces_bitwise():
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.controls, b.controls)
     assert np.array_equal(a.cert_a, b.cert_a, equal_nan=True)
-    assert a.outcome.kind == b.outcome.kind
-    assert a.outcome.exit_time == b.outcome.exit_time
+    assert np.array_equal(a.values, b.values)
+    assert a.outcome == b.outcome
+    assert np.array_equal(a.exit_time, b.exit_time, equal_nan=True)
 
 
 def test_different_seeds_give_different_noise():
@@ -182,13 +184,14 @@ def test_batch_matches_scalar_paths_bitwise():
     for i, seed in enumerate(seeds):
         single = simulate_path(m, spec, x0, 0.01, 1.0, path_seed=seed)
         assert np.array_equal(batch.states[i], single.states)
+        assert np.array_equal(batch.values[i], single.values)
         assert np.array_equal(batch.controls[i], single.controls)
         assert np.array_equal(batch.cert_a[i], single.cert_a, equal_nan=True)
         assert np.array_equal(batch.cert_b[i], single.cert_b, equal_nan=True)
         assert np.array_equal(batch.cert_feasible[i], single.cert_feasible)
-        assert batch.kind_name(int(batch.kind[i])) == single.outcome.kind
-        assert np.array_equal(batch.exit_time[i], _exit_time(single), equal_nan=True)
-        assert batch.blowup[i] == single.outcome.blowup
+        assert batch.kind_name(int(batch.kind[i])) == single.outcome
+        assert np.array_equal(batch.exit_time[i], single.exit_time, equal_nan=True)
+        assert batch.blowup[i] == single.blowup
 
 
 def test_unrecorded_batch_matches_recorded_outcomes():
@@ -228,21 +231,17 @@ def test_blowup_marks_unsafe_with_flag():
         delta=10.0,
     )
     traj = simulate_path(m, spec, np.array([2.0]), 0.5, 40.0, path_seed=0)
-    assert traj.outcome.kind == EXITED_UNSAFE
-    assert traj.outcome.blowup
+    assert traj.outcome == EXITED_UNSAFE
+    assert traj.blowup
     assert np.all(np.isfinite(traj.states))  # frozen at the last finite state
-
-
-def _exit_time(traj):
-    """A trajectory's exit time as run_paths reports it: NaN for a timeout."""
-    return np.nan if traj.outcome.exit_time is None else traj.outcome.exit_time
 
 
 def test_batch_with_blowups_matches_single_paths():
     """Timeouts, target hits and blow-ups in one batch: each row equals its path run alone.
 
     The barrier is never evaluated at a blown-up state: a blown-up row is
-    frozen before the step's one barrier call, which gets every live row.
+    frozen before the step's one barrier call, which gets every live row.  A
+    recorded run keeps those values and makes no further barrier call.
     """
 
     def drift(x):
@@ -278,23 +277,27 @@ def test_batch_with_blowups_matches_single_paths():
     x0, dt, horizon = np.zeros(1), 0.4, 6.0
     seeds = [derive_path_seed(3, i) for i in range(40)]
     batch = run_paths(m, spec, x0, dt, horizon, seeds, record=True)
+    recorded_calls = len(calls)
     timeout = np.isnan(batch.exit_time)
     assert timeout.any() and batch.blowup.any() and (~timeout & ~batch.blowup).any()
     for i, seed in enumerate(seeds):
         single = simulate_path(m, spec, x0, dt, horizon, path_seed=seed)
         assert np.array_equal(batch.states[i], single.states)
+        assert batch.values[i].tobytes() == single.values.tobytes()
+        assert single.values.tobytes() == barrier.value(single.states).tobytes()
         assert np.array_equal(batch.controls[i], single.controls)
         assert np.array_equal(batch.cert_a[i], single.cert_a, equal_nan=True)
         assert np.array_equal(batch.cert_b[i], single.cert_b, equal_nan=True)
         assert np.array_equal(batch.cert_feasible[i], single.cert_feasible)
-        assert batch.kind_name(int(batch.kind[i])) == single.outcome.kind
-        assert np.array_equal(batch.exit_time[i], _exit_time(single), equal_nan=True)
-        assert batch.blowup[i] == single.outcome.blowup
+        assert batch.kind_name(int(batch.kind[i])) == single.outcome
+        assert np.array_equal(batch.exit_time[i], single.exit_time, equal_nan=True)
+        assert batch.blowup[i] == single.blowup
     calls.clear()
     run_paths(m, spec, x0, dt, horizon, seeds)
     live_steps = np.where(timeout, horizon / dt, batch.exit_time / dt).round()
     assert len(calls) == 1 + live_steps.max()  # the check that x0 is interior, then one per step
     assert sum(calls) == 1 + live_steps.sum()
+    assert recorded_calls == len(calls)
 
 
 def test_exited_paths_cost_no_field_evaluations():
@@ -418,6 +421,7 @@ def test_blocked_noise_equals_one_shot_draw():
         states, controls, certs = _reference_path(model, spec, x0, dt, steps, seed)
         assert single.states.shape == (steps + 1, 2)
         assert np.array_equal(single.states, states)
+        assert np.array_equal(single.values, spec.barrier.value(states))
         assert np.array_equal(single.controls, controls)
         recorded = np.column_stack([single.cert_a, single.cert_b, single.cert_feasible])
         assert np.array_equal(recorded, certs, equal_nan=True)
