@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from importlib.resources import files as _pkg_files
 from pathlib import Path
 
@@ -36,8 +36,8 @@ from .errors import ConfigError, SdexitError
 from .lp import lp_brute_force, lp_solve, random_lp
 from .mc import estimate_exit_probability
 from .model import (
-    BarrierFunction,
     SdeModel,
+    _check_barrier_dimension,
     acc_model,
     check_barrier_derivatives,
     deterministic_1d_model,
@@ -59,32 +59,10 @@ __all__ = [
     "main",
 ]
 
-_REQUIRED = {
-    "model",
-    "scenario_barrier",
-    "variant",
-    "x0",
-    "T",
-    "dt",
-    "w",
-    "delta",
-    "n_paths",
-    "master_seed",
-}
-_OPTIONAL = {"strict_margin_eps": 1e-6, "z": 3.0, "mc_horizon": 20.0}
-_ALLOWED = _REQUIRED | set(_OPTIONAL)
 
-_MODEL_BUILDERS = {"acc": acc_model, "deterministic_1d": deterministic_1d_model}
-_MODEL_DEFAULTS = {
-    name: {p.name: p.default for p in inspect.signature(build).parameters.values()}
-    for name, build in _MODEL_BUILDERS.items()
-}
-_LINEAR_KEYS = {"A", "d", "B", "sigma", "u_lo", "u_hi"}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    """Validated, normalized scenario description (JSON-typed fields only)."""
+    """Validated, normalized scenario (JSON-typed fields); a field with a default is optional."""
 
     model: dict
     scenario_barrier: int | dict
@@ -94,11 +72,11 @@ class ScenarioConfig:
     dt: float
     w: float
     delta: float
-    strict_margin_eps: float
+    strict_margin_eps: float = 1e-6
     n_paths: int
     master_seed: int
-    z: float
-    mc_horizon: float
+    z: float = 3.0
+    mc_horizon: float = 20.0
 
 
 def _number(field: str, value, *, positive=False, nonnegative=False) -> float:
@@ -134,6 +112,29 @@ def _matrix(field: str, value) -> list[list[float]]:
     return [_number_list(f"{field}[{i}]", row) for i, row in enumerate(value)]
 
 
+def _number_params(build) -> dict:
+    return {p.name: (_number, p.default) for p in inspect.signature(build).parameters.values()}
+
+
+# model name -> (builder, {param: (parser, default or MISSING)}), params in
+# the builder's argument order, which is also their order in the normal form
+_MODELS = {
+    "acc": (acc_model, _number_params(acc_model)),
+    "deterministic_1d": (deterministic_1d_model, _number_params(deterministic_1d_model)),
+    "linear": (
+        linear_model,
+        {
+            "A": (_matrix, MISSING),
+            "d": (_number_list, MISSING),
+            "B": (_matrix, MISSING),
+            "sigma": (_matrix, MISSING),
+            "u_lo": (_number_list, MISSING),
+            "u_hi": (_number_list, MISSING),
+        },
+    ),
+}
+
+
 def _validate_model(raw) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("model", "must be an object with a 'name' field")
@@ -144,32 +145,17 @@ def _validate_model(raw) -> dict:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("model.params", "must be an object")
-    if name in _MODEL_DEFAULTS:
-        defaults = _MODEL_DEFAULTS[name]
-        unknown = set(params) - set(defaults)
-        if unknown:
-            raise ConfigError("model.params", f"unknown keys {sorted(unknown)}")
-        merged = dict(defaults)
-        for key, val in params.items():
-            merged[key] = _number(f"model.params.{key}", val)
-        return {"name": name, "params": merged}
-    if name == "linear":
-        missing = _LINEAR_KEYS - set(params)
-        if missing:
-            raise ConfigError("model.params", f"missing keys {sorted(missing)}")
-        unknown = set(params) - _LINEAR_KEYS
-        if unknown:
-            raise ConfigError("model.params", f"unknown keys {sorted(unknown)}")
-        merged = {
-            "A": _matrix("model.params.A", params["A"]),
-            "d": _number_list("model.params.d", params["d"]),
-            "B": _matrix("model.params.B", params["B"]),
-            "sigma": _matrix("model.params.sigma", params["sigma"]),
-            "u_lo": _number_list("model.params.u_lo", params["u_lo"]),
-            "u_hi": _number_list("model.params.u_hi", params["u_hi"]),
-        }
-        return {"name": name, "params": merged}
-    raise ConfigError("model.name", f"unknown model {name!r}")
+    if not isinstance(name, str) or name not in _MODELS:
+        raise ConfigError("model.name", f"unknown model {name!r}")
+    table = _MODELS[name][1]
+    missing = [key for key, (_, default) in table.items() if default is MISSING and key not in params]
+    if missing:
+        raise ConfigError("model.params", f"missing keys {sorted(missing)}")
+    unknown = set(params) - set(table)
+    if unknown:
+        raise ConfigError("model.params", f"unknown keys {sorted(unknown)}")
+    given = {key: table[key][0](f"model.params.{key}", val) for key, val in params.items()}
+    return {"name": name, "params": {key: given.get(key, default) for key, (_, default) in table.items()}}
 
 
 def _validate_barrier(raw) -> int | dict:
@@ -196,42 +182,18 @@ def _validate_barrier(raw) -> int | dict:
     raise ConfigError("scenario_barrier", "must be 1, 2, 3 or an inline object")
 
 
-def _build_model(model_field: dict) -> SdeModel:
-    name, params = model_field["name"], model_field["params"]
-    try:
-        if name in _MODEL_BUILDERS:
-            return _MODEL_BUILDERS[name](**params)
-        return linear_model(
-            a_mat=params["A"],
-            d_vec=params["d"],
-            b_mat=params["B"],
-            sigma_mat=params["sigma"],
-            u_lo=params["u_lo"],
-            u_hi=params["u_hi"],
-        )
-    except SdexitError as exc:
-        raise ConfigError("model.params", str(exc)) from exc
-
-
-def _build_barrier(barrier_field) -> BarrierFunction:
-    if isinstance(barrier_field, int):
-        return scenario_barrier(barrier_field)
-    try:
-        return quadratic_barrier(barrier_field["Q"], barrier_field["c"], barrier_field["d"])
-    except SdexitError as exc:
-        raise ConfigError("scenario_barrier", str(exc)) from exc
-
-
 def validate_config(raw: dict) -> ScenarioConfig:
     """Validate a raw JSON object against the strict scenario schema."""
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
-    unknown = set(raw) - _ALLOWED
+    defaults = {f.name: f.default for f in fields(ScenarioConfig)}
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown field")
-    missing = _REQUIRED - set(raw)
+    missing = {key for key, default in defaults.items() if default is MISSING} - set(raw)
     if missing:
         raise ConfigError(sorted(missing)[0], "missing required field")
+    raw = {**defaults, **raw}
 
     model_field = _validate_model(raw["model"])
     barrier_field = _validate_barrier(raw["scenario_barrier"])
@@ -239,44 +201,30 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if variant not in (ProblemVariant.PROBLEM_I.value, ProblemVariant.PROBLEM_II.value):
         raise ConfigError("variant", f"must be 'ProblemI' or 'ProblemII', got {variant!r}")
 
-    horizon = raw["T"]
-    if horizon == "inf":
-        horizon_norm: float | str = "inf"
-    else:
-        horizon_norm = _number("T", horizon, positive=True)
-
     cfg = ScenarioConfig(
         model=model_field,
         scenario_barrier=barrier_field,
         variant=variant,
+        T="inf" if raw["T"] == "inf" else _number("T", raw["T"], positive=True),
         x0=tuple(_number_list("x0", raw["x0"])),
-        T=horizon_norm,
         dt=_number("dt", raw["dt"], positive=True),
         w=_number("w", raw["w"], nonnegative=True),
         delta=_number("delta", raw["delta"], positive=True),
-        strict_margin_eps=_number(
-            "strict_margin_eps", raw.get("strict_margin_eps", _OPTIONAL["strict_margin_eps"]),
-            positive=True,
-        ),
+        strict_margin_eps=_number("strict_margin_eps", raw["strict_margin_eps"], positive=True),
         n_paths=_integer("n_paths", raw["n_paths"], nonnegative=True),
         master_seed=_integer("master_seed", raw["master_seed"], nonnegative=True),
-        z=_number("z", raw.get("z", _OPTIONAL["z"]), positive=True),
-        mc_horizon=_number("mc_horizon", raw.get("mc_horizon", _OPTIONAL["mc_horizon"]), positive=True),
+        z=_number("z", raw["z"], positive=True),
+        mc_horizon=_number("mc_horizon", raw["mc_horizon"], positive=True),
     )
     if cfg.T != "inf" and _whole_steps(cfg.T, cfg.dt) is None:
         raise ConfigError("T", f"must be a whole number of dt={cfg.dt!r} steps, got {cfg.T!r}")
 
     # cross-field checks need the actual objects
-    model = _build_model(cfg.model)
-    barrier = _build_barrier(cfg.scenario_barrier)
-    if barrier.n != model.n:
-        raise ConfigError(
-            "scenario_barrier", f"barrier dimension {barrier.n} != model dimension {model.n}"
-        )
-    if len(cfg.x0) != model.n:
-        raise ConfigError("x0", f"length {len(cfg.x0)} != model dimension {model.n}")
-    x0 = np.asarray(cfg.x0, dtype=float)
-    state_class = classify_state(ProblemVariant(cfg.variant), barrier, x0)
+    model, spec, x0 = instantiate(cfg)
+    _as_field("scenario_barrier", _check_barrier_dimension, model, spec.barrier)
+    if len(x0) != model.n:
+        raise ConfigError("x0", f"length {len(x0)} != model dimension {model.n}")
+    state_class = classify_state(spec.variant, spec.barrier, x0)
     if state_class != INTERIOR:
         raise ConfigError("x0", f"initial state classifies as {state_class}, must be Interior")
     return cfg
@@ -285,12 +233,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
 def _read_raw(path) -> dict:
     """Parse a JSON config file into its raw top-level object."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data)  # JSON is UTF-8 (RFC 8259); json.loads detects it from the bytes
+    except ValueError as exc:  # invalid JSON, or bytes that are no Unicode text
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")
@@ -302,10 +250,22 @@ def load_scenario(source) -> ScenarioConfig:
     return validate_config(source if isinstance(source, dict) else _read_raw(source))
 
 
+def _as_field(field: str, fn, *args):
+    """fn(*args), with a package error raised as a ConfigError of the config field."""
+    try:
+        return fn(*args)
+    except SdexitError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
 def instantiate(cfg: ScenarioConfig) -> tuple[SdeModel, ProblemSpec, np.ndarray]:
     """Build the model, problem spec and initial state from a config."""
-    model = _build_model(cfg.model)
-    barrier = _build_barrier(cfg.scenario_barrier)
+    model = _as_field("model.params", _MODELS[cfg.model["name"]][0], *cfg.model["params"].values())
+    b = cfg.scenario_barrier
+    if isinstance(b, int):
+        barrier = scenario_barrier(b)
+    else:
+        barrier = _as_field("scenario_barrier", quadratic_barrier, b["Q"], b["c"], b["d"])
     spec = ProblemSpec(
         variant=ProblemVariant(cfg.variant),
         barrier=barrier,
@@ -427,34 +387,38 @@ def _selftest(n_instances: int, n_states: int) -> int:
 # argument parsing
 
 
+def _horizon(text: str) -> float | str:
+    """--horizon's value: "inf", else a number, else the text for validation to reject."""
+    try:
+        return text if text == "inf" else float(text)
+    except ValueError:
+        return text
+
+
+# (flags, type, config field) of each override; the last flag names the metavar
+_OVERRIDES = (
+    (("--paths",), int, "n_paths"),
+    (("--seed",), int, "master_seed"),
+    (("--dt",), float, "dt"),
+    (("--horizon",), _horizon, "T"),
+    (("-w", "--weight"), float, "w"),
+    (("--delta",), float, "delta"),
+)
+
+
 def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--paths", type=int, help="override n_paths")
-    parser.add_argument("--seed", type=int, help="override master_seed")
-    parser.add_argument("--dt", type=float, help="override dt")
-    parser.add_argument("--horizon", type=str, help="override T (number or 'inf')")
-    parser.add_argument("-w", "--weight", type=float, help="override w")
-    parser.add_argument("--delta", type=float, help="override delta")
+    for flags, parse, field in _OVERRIDES:
+        parser.add_argument(
+            *flags,
+            type=parse,
+            dest=field,
+            metavar=flags[-1][2:].upper(),
+            help=f"override {field}" + (" (number or 'inf')" if field == "T" else ""),
+        )
 
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> None:
-    if args.paths is not None:
-        raw["n_paths"] = args.paths
-    if args.seed is not None:
-        raw["master_seed"] = args.seed
-    if args.dt is not None:
-        raw["dt"] = args.dt
-    if args.horizon is not None:
-        if args.horizon == "inf":
-            raw["T"] = "inf"
-        else:
-            try:
-                raw["T"] = float(args.horizon)
-            except ValueError:
-                raw["T"] = args.horizon  # let validation name the field
-    if args.weight is not None:
-        raw["w"] = args.weight
-    if args.delta is not None:
-        raw["delta"] = args.delta
+    raw.update((f, getattr(args, f)) for _, _, f in _OVERRIDES if getattr(args, f) is not None)
 
 
 def cli_main(argv=None) -> int:

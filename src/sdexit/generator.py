@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .model import BarrierFunction, SdeModel
+from .model import BarrierFunction, SdeModel, _check_barrier_dimension, _vector
 
 __all__ = [
     "GeneratorDecomposition",
@@ -68,11 +67,8 @@ def generator_decompose(
     model: SdeModel, barrier: BarrierFunction, x: np.ndarray
 ) -> GeneratorDecomposition:
     """Decompose the generator of `barrier` at state `x` into c0 + c.u."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
-        raise DimensionError(f"state shape {x.shape}, expected {(model.n,)}")
-    if barrier.n != model.n:
-        raise DimensionError(f"barrier dimension {barrier.n} != model dimension {model.n}")
+    x = _vector(x, model.n)
+    _check_barrier_dimension(model, barrier)
     c0, c = generator_batch(model, barrier, x[None, :])
     return GeneratorDecomposition(c0=float(c0[0]), c=c[0])
 

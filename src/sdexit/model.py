@@ -100,6 +100,20 @@ class BarrierFunction:
     name: str = ""
 
 
+def _vector(x, n: int, what: str = "state") -> np.ndarray:
+    """x as a float array of shape (n,); DimensionError naming `what` otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise DimensionError(f"{what} shape {x.shape}, expected {(n,)}")
+    return x
+
+
+def _check_barrier_dimension(model: SdeModel, barrier: BarrierFunction) -> None:
+    """DimensionError unless the barrier is a function of the model's state."""
+    if barrier.n != model.n:
+        raise DimensionError(f"barrier dimension {barrier.n} != model dimension {model.n}")
+
+
 def _evaluate(label: str, fn: Callable, xs: np.ndarray, want: tuple) -> np.ndarray:
     """fn at a batch of states, required to have shape (P,) + want."""
     try:
@@ -122,11 +136,7 @@ def validate_model(model: SdeModel, x: np.ndarray | None = None) -> None:
     Raises DimensionError or DomainError otherwise.  Factories call this
     once at construction time.
     """
-    if x is None:
-        x = np.zeros(model.n)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
-        raise DimensionError(f"state shape {x.shape}, expected {(model.n,)}")
+    x = _vector(np.zeros(model.n) if x is None else x, model.n)
     xs = np.stack([x, x + np.arange(1.0, model.n + 1.0)])
     fields = [
         ("f1", model.f1, (model.n,)),
@@ -318,9 +328,7 @@ def check_barrier_derivatives(barrier: BarrierFunction, x: np.ndarray) -> dict:
     are compared absolutely.  Returns a dict with the two max errors and an
     overall 'ok' flag (both below FD_TOL, Hessian symmetric to 1e-12).
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (barrier.n,):
-        raise DimensionError(f"state shape {x.shape}, expected {(barrier.n,)}")
+    x = _vector(x, barrier.n)
     grad = np.asarray(barrier.gradient(x), dtype=float)
     hess = np.asarray(barrier.hessian(x), dtype=float)
 

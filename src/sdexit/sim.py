@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .generator import control_terms, generator_batch
-from .model import BarrierFunction, SdeModel
+from .model import BarrierFunction, SdeModel, _check_barrier_dimension, _vector
 from .synthesis import ProblemSpec, ProblemVariant, bang_bang, certificate_solve
 
 __all__ = [
@@ -113,9 +113,7 @@ def _hits(variant: ProblemVariant, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def classify_state(variant: ProblemVariant, barrier: BarrierFunction, x: np.ndarray) -> str:
     """Closed-condition classification of a single state."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (barrier.n,):
-        raise DimensionError(f"state shape {x.shape}, expected {(barrier.n,)}")
+    x = _vector(x, barrier.n)
     target, unsafe = _hits(variant, np.asarray(barrier.value(x[None, :]), dtype=float))
     if target[0]:
         return HIT_TARGET
@@ -133,15 +131,9 @@ def euler_maruyama_step(
     model: SdeModel, x: np.ndarray, u: np.ndarray, dt: float, dw: np.ndarray
 ) -> np.ndarray:
     """One explicit step x + (f1 + f2 u) dt + sigma dw; dw is already dt-scaled."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    if x.shape != (model.n,):
-        raise DimensionError(f"state shape {x.shape}, expected {(model.n,)}")
-    if u.shape != (model.m,):
-        raise DimensionError(f"control shape {u.shape}, expected {(model.m,)}")
-    if dw.shape != (model.k,):
-        raise DimensionError(f"noise shape {dw.shape}, expected {(model.k,)}")
+    x = _vector(x, model.n)
+    u = _vector(u, model.m, "control")
+    dw = _vector(dw, model.k, "noise")
     _check_dt(dt)
     xs = x[None, :]
     f1 = np.asarray(model.f1(xs), dtype=float)
@@ -204,11 +196,8 @@ def run_paths(
     are returned; frozen rows repeat the exit state, its value and the last
     live row's control and certificate.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
-        raise DimensionError(f"x0 shape {x0.shape}, expected {(model.n,)}")
-    if spec.barrier.n != model.n:
-        raise DimensionError("barrier dimension does not match the model")
+    x0 = _vector(x0, model.n, "x0")
+    _check_barrier_dimension(model, spec.barrier)
     v0 = np.asarray(spec.barrier.value(x0[None, :]), dtype=float)
     if np.any(_hits(spec.variant, v0)):
         raise DomainError("x0 must lie in the open domain (strictly between the level sets)")

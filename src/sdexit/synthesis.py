@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .generator import GeneratorDecomposition, generator_batch, generator_decompose
 from .lp import OPTIMAL, LpProblem, lp_solve
-from .model import BarrierFunction, ControlBox, SdeModel
+from .model import BarrierFunction, ControlBox, SdeModel, _check_barrier_dimension, _vector
 
 __all__ = [
     "ProblemVariant",
@@ -267,11 +267,8 @@ def _shared_control(raw: bytes) -> np.ndarray:
 
 def synthesize_control_fast(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> SynthesisResult:
     """Reduced-kernel counterpart of synthesize_control: a recorded path's solve at P = 1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
-        raise DimensionError(f"state shape {x.shape}, expected {(model.n,)}")
-    if spec.barrier.n != model.n:
-        raise DimensionError(f"barrier dimension {spec.barrier.n} != model dimension {model.n}")
+    x = _vector(x, model.n)
+    _check_barrier_dimension(model, spec.barrier)
     xs = x[None, :]
     c0, c = generator_batch(model, spec.barrier, xs)
     u, a, b, feasible = certificate_solve(spec.barrier.value(xs), c0, c, model.control_box, spec)

@@ -33,6 +33,18 @@ BASE = {
     "master_seed": 9,
 }
 
+# one config per model: the fields that differ from BASE
+LINEAR = {
+    "name": "linear",
+    "params": {"A": [[0.0]], "d": [0.3], "B": [[0.1]], "sigma": [[1.0]], "u_lo": [-1.0], "u_hi": [1.0]},
+}
+ONE_D = {"scenario_barrier": {"Q": None, "c": [0.5], "d": 0.0}, "x0": [0.8]}
+MODELS = {
+    "acc": {},
+    "linear": {"model": LINEAR, **ONE_D},
+    "deterministic_1d": {"model": {"name": "deterministic_1d", "params": {"rate": 0.5}}, **ONE_D},
+}
+
 
 def _raw(**overrides):
     raw = json.loads(json.dumps(BASE))
@@ -156,6 +168,21 @@ def test_unknown_model_and_bad_params():
     with pytest.raises(ConfigError) as exc:
         validate_config(_raw(model={"name": "acc", "params": {"warp": 9}}))
     assert _field_of(exc.value) == "model.params"
+    with pytest.raises(ConfigError) as exc:
+        validate_config(_raw(model={"name": ["acc"]}))
+    assert _field_of(exc.value) == "model.name"
+
+
+def test_linear_schema_errors_name_the_field():
+    params = LINEAR["params"]
+    for bad, field in (
+        ({key: val for key, val in params.items() if key != "B"}, "model.params"),
+        ({**params, "C": [[1.0]]}, "model.params"),
+        ({**params, "A": [[0.0, "x"]]}, "model.params.A[0][1]"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(_raw(**{**MODELS["linear"], "model": {"name": "linear", "params": bad}}))
+        assert _field_of(exc.value) == field, bad
 
 
 def test_scenario_barrier_forms():
@@ -192,6 +219,10 @@ def test_instantiate_builds_runnable_objects():
     assert model.n == 2
     assert spec.variant == ProblemVariant.PROBLEM_I
     assert np.array_equal(x0, [-0.5, 1.5])
+    model, spec, x0 = instantiate(validate_config(_raw(**MODELS["deterministic_1d"])))
+    assert (model.n, model.m, model.k) == (1, 1, 1)
+    assert model.f1(x0[None, :]).tolist() == [[0.5]]
+    assert spec.barrier.value(x0[None, :]).tolist() == [0.4]
 
 
 # --- run_scenario outputs ----------------------------------------------------
@@ -315,10 +346,17 @@ def test_diff_artifacts_names_column_and_row(tmp_path, capsys):
 
 
 def test_config_echo_round_trips(tmp_path):
-    cfg = validate_config(_raw(strict_margin_eps=1e-7, z=2.5))
-    run_scenario(cfg, tmp_path)
-    again = load_scenario(tmp_path / "config_echo.json")
-    assert again == cfg
+    # each model's params come in its builder's argument order
+    for name, keys in (
+        ("acc", ["f0", "f1", "f2", "mass", "lead_velocity", "u_lo", "u_hi"]),
+        ("linear", ["A", "d", "B", "sigma", "u_lo", "u_hi"]),
+        ("deterministic_1d", ["rate"]),
+    ):
+        cfg = validate_config(_raw(**MODELS[name], strict_margin_eps=1e-7, z=2.5))
+        run_scenario(cfg, tmp_path / name)
+        echo = tmp_path / name / "config_echo.json"
+        assert load_scenario(echo) == cfg, name
+        assert list(json.loads(echo.read_text())["model"]["params"]) == keys
 
 
 # --- command-line entry points ----------------------------------------------
@@ -339,21 +377,23 @@ def test_cli_run_happy_path(tmp_path, capsys):
 
 
 def test_cli_overrides_reach_the_artifacts(tmp_path, capsys):
-    rc = cli_main(
-        [
-            "run", _write(tmp_path, _raw()), "--out", str(tmp_path / "res"),
-            "--paths", "2", "--seed", "77", "--dt", "0.2", "-w", "5.0",
-            "--delta", "4.0", "--horizon", "1.0",
-        ]
-    )
-    assert rc == 0
-    echo = json.loads((tmp_path / "res" / "config_echo.json").read_text())
-    assert echo["n_paths"] == 2
-    assert echo["master_seed"] == 77
-    assert echo["dt"] == 0.2
-    assert echo["w"] == 5.0
-    assert echo["delta"] == 4.0
-    assert echo["T"] == 1.0
+    for weight_flag in ("-w", "--weight"):
+        out = tmp_path / weight_flag
+        rc = cli_main(
+            [
+                "run", _write(tmp_path, _raw()), "--out", str(out),
+                "--paths", "2", "--seed", "77", "--dt", "0.2", weight_flag, "5.0",
+                "--delta", "4.0", "--horizon", "1.0",
+            ]
+        )
+        assert rc == 0
+        echo = json.loads((out / "config_echo.json").read_text())
+        assert echo["n_paths"] == 2
+        assert echo["master_seed"] == 77
+        assert echo["dt"] == 0.2
+        assert echo["w"] == 5.0
+        assert echo["delta"] == 4.0
+        assert echo["T"] == 1.0
 
 
 def test_cli_rejects_bad_override_like_bad_file(tmp_path, capsys):
@@ -395,6 +435,12 @@ def test_cli_unreadable_or_malformed_file(tmp_path, capsys):
     bad.write_text("{not json")
     rc = cli_main(["run", str(bad)])
     assert rc == 2
+    capsys.readouterr()
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b"\xff" + json.dumps(_raw()).encode())
+    rc = cli_main(["validate", str(undecodable)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):

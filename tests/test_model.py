@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import scenario_spec
 
 from sdexit import (
     ControlBox,
@@ -12,10 +13,17 @@ from sdexit import (
     DomainError,
     acc_model,
     check_barrier_derivatives,
+    classify_state,
     deterministic_1d_model,
+    euler_maruyama_step,
+    generator_decompose,
     linear_model,
     quadratic_barrier,
+    run_paths,
     scenario_barrier,
+    simulate_path,
+    synthesize_control,
+    synthesize_control_fast,
     validate_model,
 )
 
@@ -289,3 +297,35 @@ def test_quadratic_barrier_keeps_no_caller_array(name):
     want = [np.asarray(fn(x)).tobytes() for fn in (bar.value, bar.gradient, bar.hessian)]
     _poke(args[name], 100.0)
     assert [np.asarray(fn(x)).tobytes() for fn in (bar.value, bar.gradient, bar.hessian)] == want
+
+
+# each entry point that takes a single state, called as (model, spec, x)
+_STATE_ENTRY_POINTS = {
+    "classify_state": lambda model, spec, x: classify_state(spec.variant, spec.barrier, x),
+    "euler_maruyama_step": lambda model, spec, x: euler_maruyama_step(
+        model, x, np.zeros(model.m), 0.1, np.zeros(model.k)
+    ),
+    "run_paths": lambda model, spec, x: run_paths(model, spec, x, 0.1, 0.2, [1]),
+    "simulate_path": lambda model, spec, x: simulate_path(model, spec, x, 0.1, 0.2, path_seed=1),
+    "generator_decompose": lambda model, spec, x: generator_decompose(model, spec.barrier, x),
+    "synthesize_control": synthesize_control,
+    "synthesize_control_fast": synthesize_control_fast,
+    "validate_model": lambda model, spec, x: validate_model(model, x),
+    "check_barrier_derivatives": lambda model, spec, x: check_barrier_derivatives(spec.barrier, x),
+}
+_TAKE_MODEL_AND_BARRIER = {
+    "run_paths", "simulate_path", "generator_decompose", "synthesize_control", "synthesize_control_fast",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STATE_ENTRY_POINTS))
+def test_entry_points_reject_wrong_dimensions(name):
+    call = _STATE_ENTRY_POINTS[name]
+    model, spec, x = acc_model(), scenario_spec(1, w=1.0), np.array([-0.5, 1.5])
+    call(model, spec, x)  # the right dimensions pass
+    with pytest.raises(DimensionError, match="shape"):
+        call(model, spec, np.zeros(3))
+    if name in _TAKE_MODEL_AND_BARRIER:
+        flat = dataclasses.replace(spec, barrier=quadratic_barrier(None, [1.0], 0.0))
+        with pytest.raises(DimensionError, match="barrier dimension 1 != model dimension 2"):
+            call(model, flat, x)
