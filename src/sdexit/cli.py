@@ -238,7 +238,7 @@ def _read_raw(path) -> dict:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(data)  # JSON is UTF-8 (RFC 8259); json.loads detects it from the bytes
-    except ValueError as exc:  # invalid JSON, or bytes that are no Unicode text
+    except (ValueError, RecursionError) as exc:  # bad JSON or text, or nested too deep
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be a JSON object")

@@ -438,9 +438,12 @@ def test_cli_unreadable_or_malformed_file(tmp_path, capsys):
     capsys.readouterr()
     undecodable = tmp_path / "latin1.json"
     undecodable.write_bytes(b"\xff" + json.dumps(_raw()).encode())
-    rc = cli_main(["validate", str(undecodable)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"x0": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    for path in (undecodable, deep):
+        rc = cli_main(["validate", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: config field 'config'")
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):
