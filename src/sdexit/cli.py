@@ -26,8 +26,10 @@ import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property
 from importlib.resources import files as _pkg_files
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,10 +64,10 @@ __all__ = [
 
 @dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    """Validated, normalized scenario (JSON-typed fields); a field with a default is optional."""
+    """Validated, read-only normal form of a scenario; a field with a default is optional."""
 
-    model: dict
-    scenario_barrier: int | dict
+    model: MappingProxyType
+    scenario_barrier: int | MappingProxyType
     variant: str
     x0: tuple
     T: float | str  # positive float, or the string "inf"
@@ -77,6 +79,26 @@ class ScenarioConfig:
     master_seed: int
     z: float = 3.0
     mc_horizon: float = 20.0
+
+    @cached_property
+    def _objects(self) -> tuple[SdeModel, ProblemSpec, np.ndarray]:
+        """instantiate's model, spec and read-only x0, built on first use and kept."""
+        build = _MODELS[self.model["name"]][0]
+        model = _as_field("model.params", build, *self.model["params"].values())
+        b = self.scenario_barrier
+        barrier = scenario_barrier(b) if isinstance(b, int) else _as_field(
+            "scenario_barrier", quadratic_barrier, b["Q"], b["c"], b["d"]
+        )
+        spec = ProblemSpec(
+            variant=ProblemVariant(self.variant),
+            barrier=barrier,
+            weight_w=self.w,
+            delta=self.delta,
+            strict_margin_eps=self.strict_margin_eps,
+        )
+        x0 = np.array(self.x0, dtype=float)
+        x0.flags.writeable = False
+        return model, spec, x0
 
 
 def _number(field: str, value, *, positive=False, nonnegative=False) -> float:
@@ -100,16 +122,16 @@ def _integer(field: str, value, *, nonnegative=False) -> int:
     return value
 
 
-def _number_list(field: str, value) -> list[float]:
+def _number_list(field: str, value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(field, f"must be a list of numbers, got {value!r}")
-    return [_number(f"{field}[{i}]", v) for i, v in enumerate(value)]
+    return tuple(_number(f"{field}[{i}]", v) for i, v in enumerate(value))
 
 
-def _matrix(field: str, value) -> list[list[float]]:
+def _matrix(field: str, value) -> tuple[tuple[float, ...], ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(field, "must be a nonempty list of rows")
-    return [_number_list(f"{field}[{i}]", row) for i, row in enumerate(value)]
+    return tuple(_number_list(f"{field}[{i}]", row) for i, row in enumerate(value))
 
 
 def _number_params(build) -> dict:
@@ -135,7 +157,7 @@ _MODELS = {
 }
 
 
-def _validate_model(raw) -> dict:
+def _validate_model(raw) -> MappingProxyType:
     if not isinstance(raw, dict):
         raise ConfigError("model", "must be an object with a 'name' field")
     unknown = set(raw) - {"name", "params"}
@@ -155,10 +177,11 @@ def _validate_model(raw) -> dict:
     if unknown:
         raise ConfigError("model.params", f"unknown keys {sorted(unknown)}")
     given = {key: table[key][0](f"model.params.{key}", val) for key, val in params.items()}
-    return {"name": name, "params": {key: given.get(key, default) for key, (_, default) in table.items()}}
+    params = {key: given.get(key, default) for key, (_, default) in table.items()}
+    return MappingProxyType({"name": name, "params": MappingProxyType(params)})
 
 
-def _validate_barrier(raw) -> int | dict:
+def _validate_barrier(raw) -> int | MappingProxyType:
     if isinstance(raw, bool):
         raise ConfigError("scenario_barrier", "must be 1, 2, 3 or an inline object")
     if isinstance(raw, int):
@@ -178,7 +201,7 @@ def _validate_barrier(raw) -> int | dict:
             q = _matrix("scenario_barrier.Q", q)
             if len(q) != len(c) or any(len(row) != len(c) for row in q):
                 raise ConfigError("scenario_barrier.Q", "must be square and match 'c'")
-        return {"Q": q, "c": c, "d": d}
+        return MappingProxyType({"Q": q, "c": c, "d": d})
     raise ConfigError("scenario_barrier", "must be 1, 2, 3 or an inline object")
 
 
@@ -206,7 +229,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         scenario_barrier=barrier_field,
         variant=variant,
         T="inf" if raw["T"] == "inf" else _number("T", raw["T"], positive=True),
-        x0=tuple(_number_list("x0", raw["x0"])),
+        x0=_number_list("x0", raw["x0"]),
         dt=_number("dt", raw["dt"], positive=True),
         w=_number("w", raw["w"], nonnegative=True),
         delta=_number("delta", raw["delta"], positive=True),
@@ -219,12 +242,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if cfg.T != "inf" and _whole_steps(cfg.T, cfg.dt) is None:
         raise ConfigError("T", f"must be a whole number of dt={cfg.dt!r} steps, got {cfg.T!r}")
 
-    # cross-field checks need the actual objects
+    # cross-field checks, on the objects that instantiate returns
     model, spec, x0 = instantiate(cfg)
     _as_field("scenario_barrier", _check_barrier_dimension, model, spec.barrier)
-    if len(x0) != model.n:
-        raise ConfigError("x0", f"length {len(x0)} != model dimension {model.n}")
-    state_class = classify_state(spec.variant, spec.barrier, x0)
+    state_class = _as_field("x0", classify_state, spec.variant, spec.barrier, x0)
     if state_class != INTERIOR:
         raise ConfigError("x0", f"initial state classifies as {state_class}, must be Interior")
     return cfg
@@ -259,21 +280,8 @@ def _as_field(field: str, fn, *args):
 
 
 def instantiate(cfg: ScenarioConfig) -> tuple[SdeModel, ProblemSpec, np.ndarray]:
-    """Build the model, problem spec and initial state from a config."""
-    model = _as_field("model.params", _MODELS[cfg.model["name"]][0], *cfg.model["params"].values())
-    b = cfg.scenario_barrier
-    if isinstance(b, int):
-        barrier = scenario_barrier(b)
-    else:
-        barrier = _as_field("scenario_barrier", quadratic_barrier, b["Q"], b["c"], b["d"])
-    spec = ProblemSpec(
-        variant=ProblemVariant(cfg.variant),
-        barrier=barrier,
-        weight_w=cfg.w,
-        delta=cfg.delta,
-        strict_margin_eps=cfg.strict_margin_eps,
-    )
-    return model, spec, np.asarray(cfg.x0, dtype=float)
+    """The config's model, problem spec and read-only x0: the same objects on every call."""
+    return cfg._objects
 
 
 def builtin_config_path(name: str) -> Path:
@@ -284,10 +292,8 @@ def builtin_config_path(name: str) -> Path:
 
 
 def _echo(cfg: ScenarioConfig) -> dict:
-    """The config as a JSON-ready dict (x0 as a list)."""
-    echo = asdict(cfg)
-    echo["x0"] = list(cfg.x0)
-    return echo
+    """The config's fields in order: json writes tuples as arrays, mappings with default=dict."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def _cells(column: np.ndarray) -> list[str]:
@@ -326,7 +332,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
             fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
     with open(out / "config_echo.json", "w") as fh:
-        json.dump(_echo(cfg), fh, indent=2, allow_nan=False)
+        json.dump(_echo(cfg), fh, indent=2, allow_nan=False, default=dict)
         fh.write("\n")
 
     # NaN, the arrays' "no value", is JSON null
@@ -455,7 +461,7 @@ def cli_main(argv=None) -> int:
         return 2
 
     if args.command == "validate":
-        print(json.dumps(_echo(cfg), indent=2))
+        print(json.dumps(_echo(cfg), indent=2, default=dict))
         return 0
 
     try:

@@ -60,6 +60,7 @@ class ControlBox:
             raise DomainError("control box bounds must be finite")
         if np.any(lo > hi):
             raise DomainError("control box has lo > hi")
+        lo.flags.writeable = hi.flags.writeable = False  # a validated box stays valid
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -198,8 +198,10 @@ def run_paths(
     """
     x0 = _vector(x0, model.n, "x0")
     _check_barrier_dimension(model, spec.barrier)
+    if not np.isfinite(x0).all():
+        raise DomainError(f"x0 must be finite, got {x0}")
     v0 = np.asarray(spec.barrier.value(x0[None, :]), dtype=float)
-    if np.any(_hits(spec.variant, v0)):
+    if np.isnan(v0).any() or np.any(_hits(spec.variant, v0)):  # NaN: a value on no side
         raise DomainError("x0 must lie in the open domain (strictly between the level sets)")
     steps = _grid_steps(horizon, dt)
     seeds = [int(s) & _MASK64 for s in path_seeds]

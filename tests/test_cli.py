@@ -1,7 +1,9 @@
 """Config schema validation, scenario runs, output artifacts, CLI subcommands."""
 
 import csv
+import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 from pathlib import Path
@@ -9,13 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sdexit.cli
 from sdexit import (
     ConfigError,
     ProblemVariant,
     builtin_config_path,
     cli_main,
+    derive_path_seed,
     instantiate,
     load_scenario,
+    run_paths,
     run_scenario,
     validate_config,
 )
@@ -43,6 +48,73 @@ MODELS = {
     "acc": {},
     "linear": {"model": LINEAR, **ONE_D},
     "deterministic_1d": {"model": {"name": "deterministic_1d", "params": {"rate": 0.5}}, **ONE_D},
+}
+
+
+# config_echo.json of the linear and deterministic_1d runs in test_config_echo_round_trips:
+# nested matrices and an inline "Q": null, which the shipped configs' artifacts never hold
+_ECHO_TAIL = """  "scenario_barrier": {
+    "Q": null,
+    "c": [
+      0.5
+    ],
+    "d": 0.0
+  },
+  "variant": "ProblemI",
+  "x0": [
+    0.8
+  ],
+  "T": 2.0,
+  "dt": 0.1,
+  "w": 1.0,
+  "delta": 10.0,
+  "strict_margin_eps": 1e-07,
+  "n_paths": 5,
+  "master_seed": 9,
+  "z": 2.5,
+  "mc_horizon": 20.0
+}
+"""
+ECHO_TEXT = {
+    "linear": """{
+  "model": {
+    "name": "linear",
+    "params": {
+      "A": [
+        [
+          0.0
+        ]
+      ],
+      "d": [
+        0.3
+      ],
+      "B": [
+        [
+          0.1
+        ]
+      ],
+      "sigma": [
+        [
+          1.0
+        ]
+      ],
+      "u_lo": [
+        -1.0
+      ],
+      "u_hi": [
+        1.0
+      ]
+    }
+  },
+""" + _ECHO_TAIL,
+    "deterministic_1d": """{
+  "model": {
+    "name": "deterministic_1d",
+    "params": {
+      "rate": 0.5
+    }
+  },
+""" + _ECHO_TAIL,
 }
 
 
@@ -192,7 +264,7 @@ def test_scenario_barrier_forms():
         validate_config(_raw(scenario_barrier=True))
     inline = {"Q": None, "c": [-0.45, 0.25], "d": 0.0}
     cfg = validate_config(_raw(scenario_barrier=inline))
-    assert cfg.scenario_barrier["c"] == [-0.45, 0.25]
+    assert cfg.scenario_barrier["c"] == (-0.45, 0.25)
     with pytest.raises(ConfigError) as exc:
         validate_config(_raw(scenario_barrier={"c": [1.0, 0.0]}))
     assert _field_of(exc.value) == "scenario_barrier"
@@ -223,6 +295,54 @@ def test_instantiate_builds_runnable_objects():
     assert (model.n, model.m, model.k) == (1, 1, 1)
     assert model.f1(x0[None, :]).tolist() == [[0.5]]
     assert spec.barrier.value(x0[None, :]).tolist() == [0.4]
+
+
+def test_normal_form_is_read_only():
+    cfg = validate_config(_raw(scenario_barrier={"Q": None, "c": [-0.45, 0.25], "d": 0.0}))
+    model, _, x0 = instantiate(cfg)
+    with pytest.raises(TypeError):
+        cfg.model["params"]["mass"] = -5.0
+    with pytest.raises(TypeError):
+        cfg.scenario_barrier["c"] = (1.0, 0.0)
+    with pytest.raises(TypeError):
+        cfg.scenario_barrier["c"][0] = 1.0
+    with pytest.raises(ValueError):
+        x0[0] = 1.0
+    with pytest.raises(ValueError):
+        model.control_box.lo[0] = 5.0
+    assert instantiate(cfg)[2].tolist() == [-0.5, 1.5]
+    # the fields are as validated: a new config of the same fields builds the same model
+    model, spec, x0 = instantiate(dataclasses.replace(cfg))
+    assert model.control_box.lo.tolist() == [-1.0] and x0.tolist() == [-0.5, 1.5]
+    assert spec.barrier.value(x0[None, :]).tolist() == [0.6]
+
+
+def test_each_config_is_built_once(tmp_path, monkeypatch):
+    builds = []
+    build, params = sdexit.cli._MODELS["acc"]
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setitem(sdexit.cli._MODELS, "acc", (counted, params))
+    assert cli_main(["run", _write(tmp_path, _raw()), "--out", str(tmp_path / "run")]) == 0
+    assert len(builds) == 1
+    # the benchmark's order: load, instantiate, then run twice
+    cfg = load_scenario(_raw())
+    objects = instantiate(cfg)
+    run_scenario(cfg, tmp_path / "a")
+    run_scenario(cfg, tmp_path / "b")
+    assert len(builds) == 2
+    assert instantiate(cfg) is objects
+
+
+def test_equal_configs_keep_their_signed_zeros(tmp_path):
+    """x0 = [0.0, 1.5] and [-0.0, 1.5] make equal configs, built apart: each keeps its x1."""
+    for x in ("0.0", "-0.0"):
+        run_scenario(validate_config(_raw(x0=[float(x), 1.5], n_paths=0)), tmp_path / x)
+    rows = [(tmp_path / x / "trajectory.csv").read_text().splitlines()[1] for x in ("0.0", "-0.0")]
+    assert [row.split(",")[1] for row in rows] == ["0", "-0"]
 
 
 # --- run_scenario outputs ----------------------------------------------------
@@ -316,11 +436,16 @@ def test_infinite_horizon_uses_mc_surrogate(tmp_path):
     assert echo["T"] == "inf"
 
 
-def test_diff_artifacts_names_column_and_row(tmp_path, capsys):
+def _diff_artifacts():
     tool = Path(__file__).resolve().parents[1] / "tools" / "diff_artifacts.py"
     spec = importlib.util.spec_from_file_location("diff_artifacts", tool)
-    diff_artifacts = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(diff_artifacts)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_diff_artifacts_names_column_and_row(tmp_path, capsys):
+    diff_artifacts = _diff_artifacts()
     cfg = load_scenario(_raw())
     run_scenario(cfg, tmp_path / "a")
     run_scenario(cfg, tmp_path / "b")
@@ -345,6 +470,16 @@ def test_diff_artifacts_names_column_and_row(tmp_path, capsys):
     assert float(differing[0].split()[4].rstrip(",")) == after - before
 
 
+def test_diff_artifacts_reads_the_config_echo(tmp_path, capsys):
+    """At a finite T, mc_horizon changes no output but the echo, and the tool names it."""
+    for horizon in ("20.0", "30.0"):
+        run_scenario(validate_config(_raw(mc_horizon=float(horizon))), tmp_path / horizon)
+    assert _diff_artifacts().main([str(tmp_path / "20.0"), str(tmp_path / "30.0")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    differing = [line for line in lines if not line.endswith(": same")]
+    assert differing == ["config_echo.json mc_horizon: max |diff| 10.0 (20.0 vs 30.0)"]
+
+
 def test_config_echo_round_trips(tmp_path):
     # each model's params come in its builder's argument order
     for name, keys in (
@@ -357,6 +492,27 @@ def test_config_echo_round_trips(tmp_path):
         echo = tmp_path / name / "config_echo.json"
         assert load_scenario(echo) == cfg, name
         assert list(json.loads(echo.read_text())["model"]["params"]) == keys
+        if name in ECHO_TEXT:
+            assert echo.read_text() == ECHO_TEXT[name]
+
+
+@pytest.mark.parametrize("name", ["scenario2_w1", "linear"])
+def test_closed_loop_ignores_weight_delta_and_margin(name):
+    """w, delta and strict_margin_eps shape the certificate and the bound, not the controller."""
+    raw = _raw(**MODELS["linear"])
+    if name == "scenario2_w1":
+        raw = json.loads(builtin_config_path(name).read_text())
+    loops, certificates = set(), set()
+    for w, delta, eps in itertools.product((0.0, 1.0, 1e12), (0.5, 10.0), (1e-9, 1e-6, 1e-3)):
+        cfg = validate_config({**raw, "w": w, "delta": delta, "strict_margin_eps": eps})
+        model, spec, x0 = instantiate(cfg)
+        seeds = [derive_path_seed(cfg.master_seed, i) for i in range(8)]
+        res = run_paths(model, spec, x0, cfg.dt, cfg.T, seeds, record=True)
+        loop = (res.kind, res.exit_time, res.blowup, res.states, res.controls, res.values)
+        loops.add(b"".join(arr.tobytes() for arr in loop))
+        certificates.add(b"".join(arr.tobytes() for arr in (res.cert_a, res.cert_b)))
+    assert len(loops) == 1
+    assert len(certificates) > 1  # the three fields do reach the certificate LP
 
 
 # --- command-line entry points ----------------------------------------------

@@ -263,6 +263,14 @@ def test_control_box_keeps_no_caller_array(name):
     assert np.array_equal(box.lo, want[0]) and np.array_equal(box.hi, want[1])
 
 
+@pytest.mark.parametrize("name", ["lo", "hi"])
+def test_control_box_is_read_only(name):
+    box = acc_model().control_box
+    with pytest.raises(ValueError):
+        getattr(box, name)[0] = 5.0
+    assert box.lo.tolist() == [-1.0] and box.hi.tolist() == [1.0]
+
+
 @pytest.mark.parametrize("name", ["a_mat", "d_vec", "b_mat", "sigma_mat", "u_lo", "u_hi"])
 def test_linear_model_keeps_no_caller_array(name):
     args = {

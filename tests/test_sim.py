@@ -23,6 +23,7 @@ from sdexit import (
     classify_state,
     derive_path_seed,
     deterministic_1d_model,
+    estimate_exit_probability,
     euler_maruyama_step,
     generator_batch,
     generator_decompose,
@@ -110,6 +111,23 @@ def test_non_interior_start_rejected():
     m = deterministic_1d_model(rate=1.0)
     with pytest.raises(DomainError):
         simulate_path(m, _spec_1d(), np.array([1.0]), 0.01, 1.0, path_seed=0)
+
+
+@pytest.mark.parametrize("case", ["nan x0", "inf x0", "nan barrier value"])
+def test_non_finite_start_rejected(case):
+    """Rejected on entry: [inf, 1.5] never reaches the barrier, where 0 * inf warns."""
+    model, spec, x0 = acc_model(), scenario_spec(2, w=1.0), np.array([np.nan, 1.5])
+    if case == "inf x0":
+        x0 = np.array([np.inf, 1.5])
+    elif case == "nan barrier value":
+        barrier = dataclasses.replace(spec.barrier, value=lambda x: np.full(len(x), np.nan))
+        spec, x0 = dataclasses.replace(spec, barrier=barrier), np.array([-0.5, 1.5])
+    with pytest.raises(DomainError):
+        run_paths(model, spec, x0, 0.01, 0.1, [1, 2])
+    with pytest.raises(DomainError):
+        simulate_path(model, spec, x0, 0.01, 0.1, path_seed=1)
+    with pytest.raises(DomainError):
+        estimate_exit_probability(model, spec, x0, 0.01, 0.1, 4, 7)
 
 
 def test_grid_is_exact_arithmetic_progression():

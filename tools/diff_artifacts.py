@@ -2,9 +2,10 @@
 
     python tools/diff_artifacts.py DIR_A DIR_B
 
-For each column of ``trajectory.csv`` and each key of ``mc_summary.json``
-(nested keys joined with dots), prints the largest absolute difference
-between the two directories and the first data row (0-based) that differs.
+For each column of ``trajectory.csv`` and each key of ``mc_summary.json`` and
+``config_echo.json`` (nested keys joined with dots, a JSON array one value),
+prints the largest absolute difference between the two directories and the
+first data row (0-based) that differs.
 A missing value (an empty cell or a JSON null), a missing file, column or
 key, or a text value that changed counts as an infinite difference.  Exits 1
 if anything differs and 0 if nothing does.
@@ -82,7 +83,11 @@ def _compare(fname: str, name: str, a: list, b: list) -> bool:
 def diff_dirs(dir_a: Path, dir_b: Path) -> bool:
     """Print the per-column and per-key report; True when anything differs."""
     differs = False
-    for fname, read in (("trajectory.csv", _csv_columns), ("mc_summary.json", _json_keys)):
+    for fname, read in (
+        ("trajectory.csv", _csv_columns),
+        ("mc_summary.json", _json_keys),
+        ("config_echo.json", _json_keys),
+    ):
         a, b = read(dir_a / fname), read(dir_b / fname)
         if a is None or b is None:
             if a is not b:
