@@ -328,7 +328,7 @@ def test_each_config_is_built_once(tmp_path, monkeypatch):
     monkeypatch.setitem(sdexit.cli._MODELS, "acc", (counted, params))
     assert cli_main(["run", _write(tmp_path, _raw()), "--out", str(tmp_path / "run")]) == 0
     assert len(builds) == 1
-    # the benchmark's order: load, instantiate, then run twice
+    # perfbench's set-up and rounds: load, instantiate, then run twice
     cfg = load_scenario(_raw())
     objects = instantiate(cfg)
     run_scenario(cfg, tmp_path / "a")
