@@ -13,8 +13,9 @@ Config files are strict JSON: unknown fields are rejected, booleans are not
 numbers, and every error names the offending field.  Overrides (--paths,
 --seed, --dt, --horizon, -w, --delta) are applied to the raw config before
 validation, so an invalid override fails exactly like an invalid file value.
-Exit codes: 0 success, 1 selftest failure, 2 configuration/usage error, an
-output directory that cannot be written, or a stdout closed by its reader.
+Exit codes: 0 success, 1 selftest failure only, 2 configuration/usage error,
+a run that cannot finish (an output directory that cannot be written, arrays
+too large to allocate), or a stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .model import (
     quadratic_barrier,
     scenario_barrier,
 )
-from .sim import INTERIOR, _whole_steps, classify_state, simulate_path
+from .sim import _grid_steps, _start_state, _whole_steps, simulate_path
 from .synthesis import ProblemSpec, ProblemVariant
 
 __all__ = [
@@ -100,6 +101,11 @@ class ScenarioConfig:
         x0.flags.writeable = False
         return model, spec, x0
 
+    @property
+    def _sim_horizon(self) -> float:
+        """The horizon a run simulates: T, or mc_horizon when T is "inf"."""
+        return self.mc_horizon if self.T == "inf" else float(self.T)
+
 
 def _number(field: str, value, *, positive=False, nonnegative=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -131,7 +137,11 @@ def _number_list(field: str, value) -> tuple[float, ...]:
 def _matrix(field: str, value) -> tuple[tuple[float, ...], ...]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(field, "must be a nonempty list of rows")
-    return tuple(_number_list(f"{field}[{i}]", row) for i, row in enumerate(value))
+    rows = tuple(_number_list(f"{field}[{i}]", row) for i, row in enumerate(value))
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ConfigError(f"{field}[{i}]", f"has length {len(row)}, row 0 {len(rows[0])}")
+    return rows
 
 
 def _number_params(build) -> dict:
@@ -182,9 +192,7 @@ def _validate_model(raw) -> MappingProxyType:
 
 
 def _validate_barrier(raw) -> int | MappingProxyType:
-    if isinstance(raw, bool):
-        raise ConfigError("scenario_barrier", "must be 1, 2, 3 or an inline object")
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         if raw not in (1, 2, 3):
             raise ConfigError("scenario_barrier", f"unknown built-in scenario {raw}")
         return raw
@@ -199,7 +207,7 @@ def _validate_barrier(raw) -> int | MappingProxyType:
         q = raw.get("Q")
         if q is not None:
             q = _matrix("scenario_barrier.Q", q)
-            if len(q) != len(c) or any(len(row) != len(c) for row in q):
+            if len(q) != len(c) or len(q[0]) != len(c):
                 raise ConfigError("scenario_barrier.Q", "must be square and match 'c'")
         return MappingProxyType({"Q": q, "c": c, "d": d})
     raise ConfigError("scenario_barrier", "must be 1, 2, 3 or an inline object")
@@ -239,15 +247,14 @@ def validate_config(raw: dict) -> ScenarioConfig:
         z=_number("z", raw["z"], positive=True),
         mc_horizon=_number("mc_horizon", raw["mc_horizon"], positive=True),
     )
+    _as_field("dt", _grid_steps, cfg._sim_horizon, cfg.dt)
     if cfg.T != "inf" and _whole_steps(cfg.T, cfg.dt) is None:
         raise ConfigError("T", f"must be a whole number of dt={cfg.dt!r} steps, got {cfg.T!r}")
 
     # cross-field checks, on the objects that instantiate returns
     model, spec, x0 = instantiate(cfg)
     _as_field("scenario_barrier", _check_barrier_dimension, model, spec.barrier)
-    state_class = _as_field("x0", classify_state, spec.variant, spec.barrier, x0)
-    if state_class != INTERIOR:
-        raise ConfigError("x0", f"initial state classifies as {state_class}, must be Interior")
+    _as_field("x0", _start_state, model, spec, x0)
     return cfg
 
 
@@ -306,11 +313,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model, spec, x0 = instantiate(cfg)
-    infinite = cfg.T == "inf"
-    sim_horizon = cfg.mc_horizon if infinite else float(cfg.T)
-    bound_horizon = math.inf if infinite else float(cfg.T)
+    bound_horizon = math.inf if cfg.T == "inf" else float(cfg.T)
 
-    traj = simulate_path(model, spec, x0, cfg.dt, sim_horizon, path_seed=cfg.master_seed)
+    traj = simulate_path(model, spec, x0, cfg.dt, cfg._sim_horizon, path_seed=cfg.master_seed)
     curve = bound_curve(spec, traj.times, traj.values, traj.cert_a, traj.cert_b, bound_horizon)
 
     header = (
@@ -343,7 +348,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     result: dict = {"outcome": traj.outcome, "exit_time": exit_time}
     if cfg.n_paths >= 1:
         mc = estimate_exit_probability(
-            model, spec, x0, cfg.dt, sim_horizon, cfg.n_paths, cfg.master_seed, z=cfg.z
+            model, spec, x0, cfg.dt, cfg._sim_horizon, cfg.n_paths, cfg.master_seed, z=cfg.z
         )
         summary = asdict(mc)
         summary["bound_finite_t0"] = fin0
@@ -468,6 +473,9 @@ def cli_main(argv=None) -> int:
         summary = run_scenario(cfg, args.out)
     except OSError as exc:
         print(f"error: cannot write results to {args.out}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: cannot allocate the run's arrays: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(summary, indent=2, allow_nan=False))
     return 0

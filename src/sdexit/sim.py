@@ -173,10 +173,30 @@ def _grid_steps(horizon: float, dt: float) -> int:
     _check_dt(dt)
     if not math.isfinite(horizon) or horizon < 0:
         raise DomainError(f"horizon must be finite and nonnegative, got {horizon}")
+    if not math.isfinite(horizon / dt):
+        raise DomainError(f"horizon {horizon} / dt {dt} is not a finite number of steps")
     steps = _whole_steps(horizon, dt)
     if steps is None:
         return int(math.ceil(horizon / dt))  # horizon not a grid multiple: round the grid up
     return steps
+
+
+def _start_state(model: SdeModel, spec: ProblemSpec, x0) -> tuple[np.ndarray, np.ndarray]:
+    """(x0, v0): x0 as a float state and its barrier value, shape (1,); the one start rule.
+
+    DomainError unless x0 is finite and v0 is a number strictly between the level sets.
+    """
+    x0 = _vector(x0, model.n, "x0")
+    _check_barrier_dimension(model, spec.barrier)
+    if not np.isfinite(x0).all():
+        raise DomainError(f"x0 must be finite, got {x0}")
+    v0 = np.asarray(spec.barrier.value(x0[None, :]), dtype=float)
+    if np.isnan(v0).any() or np.any(_hits(spec.variant, v0)):  # NaN: a value on no side
+        raise DomainError(
+            f"x0 must lie in the open domain: its barrier value {float(v0[0])} is not a "
+            "number strictly between the level sets"
+        )
+    return x0, v0
 
 
 def run_paths(
@@ -196,13 +216,7 @@ def run_paths(
     are returned; frozen rows repeat the exit state, its value and the last
     live row's control and certificate.
     """
-    x0 = _vector(x0, model.n, "x0")
-    _check_barrier_dimension(model, spec.barrier)
-    if not np.isfinite(x0).all():
-        raise DomainError(f"x0 must be finite, got {x0}")
-    v0 = np.asarray(spec.barrier.value(x0[None, :]), dtype=float)
-    if np.isnan(v0).any() or np.any(_hits(spec.variant, v0)):  # NaN: a value on no side
-        raise DomainError("x0 must lie in the open domain (strictly between the level sets)")
+    x0, v0 = _start_state(model, spec, x0)
     steps = _grid_steps(horizon, dt)
     seeds = [int(s) & _MASK64 for s in path_seeds]
     n_paths = len(seeds)

@@ -251,6 +251,9 @@ def test_linear_schema_errors_name_the_field():
         ({key: val for key, val in params.items() if key != "B"}, "model.params"),
         ({**params, "C": [[1.0]]}, "model.params"),
         ({**params, "A": [[0.0, "x"]]}, "model.params.A[0][1]"),
+        ({**params, "A": [[0.0, 1.0], [2.0]]}, "model.params.A[1]"),
+        ({**params, "B": [[0.1], [0.1, 0.2]]}, "model.params.B[1]"),
+        ({**params, "sigma": [[1.0], [], [1.0]]}, "model.params.sigma[1]"),
     ):
         with pytest.raises(ConfigError) as exc:
             validate_config(_raw(**{**MODELS["linear"], "model": {"name": "linear", "params": bad}}))
@@ -278,12 +281,39 @@ def test_dimension_cross_checks():
     with pytest.raises(ConfigError) as exc:
         validate_config(_raw(scenario_barrier=bad_barrier))
     assert _field_of(exc.value) == "scenario_barrier"
+    for q, field in (
+        ([[1.0, 0.0], [0.0]], "scenario_barrier.Q[1]"),  # ragged: the first differing row
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "scenario_barrier.Q"),  # not square
+        ([[1.0], [0.0]], "scenario_barrier.Q"),  # square rows needed, not len(Q) == len(c) alone
+    ):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(_raw(scenario_barrier={"Q": q, "c": [0.0, 0.0], "d": 0.5}))
+        assert _field_of(exc.value) == field, q
+
+
+# x0's squares overflow, so v(x0) = inf - inf + 0.5 is NaN: a value on no side of the level sets
+NAN_AT_X0 = {
+    "scenario_barrier": {"Q": [[1, 0], [0, -1]], "c": [0, 0], "d": 0.5},
+    "x0": [1e200, 1e200],
+}
+RAGGED_A = {"model": {"name": "linear", "params": {**LINEAR["params"], "A": [[0, 1], [2]]}}}
 
 
 def test_x0_must_be_interior():
     with pytest.raises(ConfigError) as exc:
         validate_config(_raw(x0=[0.0, 4.0]))  # h = 1: already on the target set
     assert _field_of(exc.value) == "x0"
+    with pytest.raises(ConfigError) as exc:
+        validate_config(_raw(**NAN_AT_X0))
+    assert _field_of(exc.value) == "x0"
+
+
+@pytest.mark.parametrize("T", [2.0, "inf"])
+def test_dt_too_small_for_the_simulated_horizon(T):
+    """horizon / dt overflows to inf: no grid, named as dt, at T or at mc_horizon for "inf"."""
+    with pytest.raises(ConfigError) as exc:
+        validate_config(_raw(T=T, dt=1e-320))
+    assert _field_of(exc.value) == "dt"
 
 
 def test_instantiate_builds_runnable_objects():
@@ -600,6 +630,36 @@ def test_cli_unreadable_or_malformed_file(tmp_path, capsys):
         rc = cli_main(["validate", str(path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: config field 'config'")
+
+
+@pytest.mark.parametrize(
+    "command, raw, flags, field",
+    [
+        ("validate", _raw(**NAN_AT_X0), [], "x0"),
+        ("run", _raw(**NAN_AT_X0), [], "x0"),
+        ("validate", _raw(**{**MODELS["linear"], **RAGGED_A}), [], "model.params.A[1]"),
+        ("validate", _raw(), ["--dt", "1e-320"], "dt"),
+        ("validate", _raw(), ["--dt", "1e-320", "--horizon", "inf"], "dt"),
+        ("run", _raw(), ["--dt", "1e-320", "--horizon", "inf"], "dt"),
+    ],
+    ids=["nan x0 validate", "nan x0 run", "ragged A", "dt 1e-320", "dt 1e-320 inf", "dt 1e-320 inf run"],
+)
+def test_cli_config_errors_exit_2_naming_the_field(tmp_path, capsys, command, raw, flags, field):
+    out = tmp_path / "res"
+    out_flags = ["--out", str(out)] if command == "run" else []
+    rc = cli_main([command, _write(tmp_path, raw), *flags, *out_flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: config field '{field}'")
+    assert not out.exists()
+
+
+def test_cli_run_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 1e17 steps: the recorded path alone is 1.39 EiB, beyond the largest virtual address
+    # space of any 64-bit machine (2**57 bytes, x86-64 five-level paging): it fails anywhere
+    cfg = str(builtin_config_path("scenario1_w1"))
+    rc = cli_main(["run", cfg, "--horizon", "1e14", "--paths", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot allocate the run's arrays: ")
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):

@@ -130,6 +130,13 @@ def test_non_finite_start_rejected(case):
         estimate_exit_probability(model, spec, x0, 0.01, 0.1, 4, 7)
 
 
+def test_dt_too_small_for_horizon_rejected():
+    """2 / 1e-320 overflows to inf: a DomainError, not round(inf)'s OverflowError."""
+    model, spec, x0 = acc_model(), scenario_spec(1, w=1.0), np.array([-0.5, 1.5])
+    with pytest.raises(DomainError, match="not a finite number of steps"):
+        run_paths(model, spec, x0, 1e-320, 2.0, [1, 2])
+
+
 def test_grid_is_exact_arithmetic_progression():
     m = acc_model()
     spec = scenario_spec(1, w=1.0)
