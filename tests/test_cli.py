@@ -296,7 +296,6 @@ NAN_AT_X0 = {
     "scenario_barrier": {"Q": [[1, 0], [0, -1]], "c": [0, 0], "d": 0.5},
     "x0": [1e200, 1e200],
 }
-RAGGED_A = {"model": {"name": "linear", "params": {**LINEAR["params"], "A": [[0, 1], [2]]}}}
 
 
 def test_x0_must_be_interior():
@@ -630,6 +629,9 @@ def test_cli_unreadable_or_malformed_file(tmp_path, capsys):
         rc = cli_main(["validate", str(path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: config field 'config'")
+
+
+RAGGED_A = {"model": {"name": "linear", "params": {**LINEAR["params"], "A": [[0, 1], [2]]}}}
 
 
 @pytest.mark.parametrize(
