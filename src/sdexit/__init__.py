@@ -3,152 +3,22 @@
 Pointwise control synthesis via small linear programs over barrier
 certificates, analytic exit-probability bounds, a reproducible stopped
 Euler-Maruyama simulator and a Monte Carlo validation harness.
+
+Each module's ``__all__`` lists its public names; the package re-exports them all.
 """
 
-from .bounds import (
-    bound_curve,
-    exit_bound_finite_i,
-    exit_bound_finite_ii,
-    exit_bound_infinite_i,
-    exit_bound_infinite_ii,
-    exit_bound_lemma2,
-)
-from .cli import (
-    ScenarioConfig,
-    builtin_config_path,
-    cli_main,
-    instantiate,
-    load_scenario,
-    run_scenario,
-    validate_config,
-)
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DimensionError,
-    DomainError,
-    SdexitError,
-)
-from .generator import (
-    GeneratorDecomposition,
-    generator_batch,
-    generator_decompose,
-)
-from .lp import (
-    INFEASIBLE,
-    OPTIMAL,
-    UNBOUNDED,
-    LpProblem,
-    LpSolution,
-    lp_brute_force,
-    lp_solve,
-)
-from .mc import McSummary, estimate_exit_probability, wilson_interval
-from .model import (
-    BarrierFunction,
-    ControlBox,
-    SdeModel,
-    acc_model,
-    check_barrier_derivatives,
-    deterministic_1d_model,
-    linear_model,
-    quadratic_barrier,
-    scenario_barrier,
-    validate_model,
-)
-from .sim import (
-    EXITED_TARGET,
-    EXITED_UNSAFE,
-    HIT_TARGET,
-    HIT_UNSAFE,
-    INTERIOR,
-    TIMEOUT,
-    BatchOutcomes,
-    Trajectory,
-    classify_state,
-    derive_path_seed,
-    euler_maruyama_step,
-    run_paths,
-    simulate_path,
-)
-from .synthesis import (
-    FALLBACK,
-    FEASIBLE,
-    ProblemSpec,
-    ProblemVariant,
-    SynthesisResult,
-    bang_bang,
-    build_lp_problem,
-    certificate_solve,
-    synthesize_control,
-    synthesize_control_fast,
-)
+from . import bounds, cli, errors, generator, lp, mc, model, sim, synthesis
+from .bounds import *
+from .cli import *
+from .errors import *
+from .generator import *
+from .lp import *
+from .mc import *
+from .model import *
+from .sim import *
+from .synthesis import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BarrierFunction",
-    "BatchOutcomes",
-    "CapacityError",
-    "ConfigError",
-    "ControlBox",
-    "DimensionError",
-    "DomainError",
-    "EXITED_TARGET",
-    "EXITED_UNSAFE",
-    "FALLBACK",
-    "FEASIBLE",
-    "GeneratorDecomposition",
-    "HIT_TARGET",
-    "HIT_UNSAFE",
-    "INFEASIBLE",
-    "INTERIOR",
-    "LpProblem",
-    "LpSolution",
-    "McSummary",
-    "OPTIMAL",
-    "ProblemSpec",
-    "ProblemVariant",
-    "ScenarioConfig",
-    "SdeModel",
-    "SdexitError",
-    "SynthesisResult",
-    "TIMEOUT",
-    "Trajectory",
-    "UNBOUNDED",
-    "acc_model",
-    "bang_bang",
-    "bound_curve",
-    "builtin_config_path",
-    "build_lp_problem",
-    "certificate_solve",
-    "check_barrier_derivatives",
-    "classify_state",
-    "cli_main",
-    "derive_path_seed",
-    "deterministic_1d_model",
-    "estimate_exit_probability",
-    "euler_maruyama_step",
-    "exit_bound_finite_i",
-    "exit_bound_finite_ii",
-    "exit_bound_infinite_i",
-    "exit_bound_infinite_ii",
-    "exit_bound_lemma2",
-    "generator_batch",
-    "generator_decompose",
-    "instantiate",
-    "linear_model",
-    "load_scenario",
-    "lp_brute_force",
-    "lp_solve",
-    "quadratic_barrier",
-    "run_paths",
-    "run_scenario",
-    "scenario_barrier",
-    "simulate_path",
-    "synthesize_control",
-    "synthesize_control_fast",
-    "validate_config",
-    "validate_model",
-    "wilson_interval",
-]
+_MODULES = (bounds, cli, errors, generator, lp, mc, model, sim, synthesis)
+__all__ = [name for module in _MODULES for name in module.__all__]

@@ -30,8 +30,6 @@ from .errors import DomainError
 from .synthesis import ProblemSpec, ProblemVariant
 
 __all__ = [
-    "A_SWITCH_EPS",
-    "EXP_ARG_MAX",
     "exit_bound_finite_i",
     "exit_bound_infinite_i",
     "exit_bound_lemma2",

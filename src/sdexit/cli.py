@@ -59,7 +59,6 @@ __all__ = [
     "run_scenario",
     "builtin_config_path",
     "cli_main",
-    "main",
 ]
 
 
@@ -310,13 +309,13 @@ def _cells(column: np.ndarray) -> list[str]:
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     """Run one scenario: representative trajectory, Monte Carlo, echo files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model, spec, x0 = instantiate(cfg)
     bound_horizon = math.inf if cfg.T == "inf" else float(cfg.T)
 
     traj = simulate_path(model, spec, x0, cfg.dt, cfg._sim_horizon, path_seed=cfg.master_seed)
     curve = bound_curve(spec, traj.times, traj.values, traj.cert_a, traj.cert_b, bound_horizon)
+    out = Path(out_dir)  # made only once the path is simulated: a failed run leaves no --out
+    out.mkdir(parents=True, exist_ok=True)
 
     header = (
         ["t"]

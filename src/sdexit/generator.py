@@ -23,7 +23,6 @@ from .model import BarrierFunction, SdeModel, _check_barrier_dimension, _vector
 
 __all__ = [
     "GeneratorDecomposition",
-    "control_terms",
     "generator_batch",
     "generator_decompose",
 ]

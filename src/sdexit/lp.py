@@ -37,7 +37,6 @@ __all__ = [
     "LpSolution",
     "lp_solve",
     "lp_brute_force",
-    "random_lp",
     "OPTIMAL",
     "INFEASIBLE",
     "UNBOUNDED",

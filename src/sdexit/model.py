@@ -83,7 +83,6 @@ class SdeModel:
     f2: Callable[[np.ndarray], np.ndarray]
     sigma: Callable[[np.ndarray], np.ndarray]
     control_box: ControlBox
-    name: str = ""
 
     @property
     def m(self) -> int:
@@ -98,7 +97,6 @@ class BarrierFunction:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     n: int
-    name: str = ""
 
 
 def _vector(x, n: int, what: str = "state") -> np.ndarray:
@@ -203,7 +201,6 @@ def acc_model(
         f2=_constant_field(np.array([[inv_m], [0.0]])),
         sigma=_constant_field(np.eye(2)),
         control_box=ControlBox(np.array([u_lo]), np.array([u_hi])),
-        name="acc",
     )
     validate_model(model)
     return model
@@ -253,7 +250,6 @@ def linear_model(
         f2=_constant_field(b_mat),
         sigma=_constant_field(sigma_mat),
         control_box=ControlBox(u_lo, u_hi),
-        name="linear",
     )
     validate_model(model)
     return model
@@ -263,12 +259,7 @@ def linear_model(
 # Barriers
 
 
-def quadratic_barrier(
-    q_mat: np.ndarray | None,
-    c_vec: np.ndarray,
-    d: float,
-    name: str = "quadratic",
-) -> BarrierFunction:
+def quadratic_barrier(q_mat: np.ndarray | None, c_vec: np.ndarray, d: float) -> BarrierFunction:
     """Barrier v(x) = x'Qx + c'x + d with Q symmetric (or None for affine)."""
     # copies, like Q's symmetrized form below, so the caller's arrays cannot reach the barrier
     c_vec = np.array(c_vec, dtype=float, ndmin=1)
@@ -296,7 +287,7 @@ def quadratic_barrier(
         return 2.0 * np.einsum("...i,ij->...j", x, q_mat) + c_vec
 
     return BarrierFunction(
-        value=value, gradient=gradient, hessian=_constant_field(2.0 * q_mat), n=n, name=name
+        value=value, gradient=gradient, hessian=_constant_field(2.0 * q_mat), n=n
     )
 
 
@@ -308,15 +299,15 @@ def scenario_barrier(index: int) -> BarrierFunction:
     3: g(x) = ((x1-10)^2 + (x3-10)^2)/64 (reach the radius-8 circle around (10,10))
     """
     if index == 1:
-        return quadratic_barrier(None, np.array([-0.45, 0.25]), 0.0, name="scenario1")
+        return quadratic_barrier(None, np.array([-0.45, 0.25]), 0.0)
     if index == 2:
-        return quadratic_barrier(np.eye(2) / 8.0, np.zeros(2), -1.0 / 8.0, name="scenario2")
+        return quadratic_barrier(np.eye(2) / 8.0, np.zeros(2), -1.0 / 8.0)
     if index == 3:
         center = np.array([10.0, 10.0])
         q = np.eye(2) / 64.0
         c = -2.0 * center / 64.0
         d = float(center @ center) / 64.0
-        return quadratic_barrier(q, c, d, name="scenario3")
+        return quadratic_barrier(q, c, d)
     raise DomainError(f"unknown scenario barrier index {index}")
 
 

@@ -235,9 +235,12 @@ def run_paths(
     sqrt_dt = math.sqrt(dt)
     noise = np.empty((n_paths, min(_NOISE_BLOCK, steps), k))  # row p: path p's current block
     if record:
-        rec_states = np.empty((n_paths, steps + 1, n))  # rows past last + 1 are never written
-        rec_states[:, 0] = x0
-        rec_values = np.full((n_paths, steps + 1), v0[0])  # the barrier at rec_states
+        try:
+            rec_states = np.empty((n_paths, steps + 1, n))  # rows past last + 1 are never written
+            rec_states[:, 0] = x0
+            rec_values = np.full((n_paths, steps + 1), v0[0])  # the barrier at rec_states
+        except ValueError as exc:  # too big for numpy to size, let alone for any address space
+            raise MemoryError(f"the recorded paths are too large: {exc}") from exc
 
     for i in range(steps):
         if not live.size:

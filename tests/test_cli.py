@@ -655,13 +655,23 @@ def test_cli_config_errors_exit_2_naming_the_field(tmp_path, capsys, command, ra
     assert not out.exists()
 
 
-def test_cli_run_too_large_to_allocate_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags",
+    [["--horizon", "1e14"], ["--horizon", "1e15"], ["--dt", "1e-300"]],
+    ids=["horizon 1e14", "horizon 1e15", "dt 1e-300"],
+)
+def test_cli_run_too_large_to_allocate_exits_2(tmp_path, capsys, flags):
     # 1e17 steps: the recorded path alone is 1.39 EiB, beyond the largest virtual address
-    # space of any 64-bit machine (2**57 bytes, x86-64 five-level paging): it fails anywhere
+    # space of any 64-bit machine (2**57 bytes, x86-64 five-level paging): it fails anywhere.
+    # At 1e18 and 2e300 steps numpy cannot even size the array and raises ValueError.
     cfg = str(builtin_config_path("scenario1_w1"))
-    rc = cli_main(["run", cfg, "--horizon", "1e14", "--paths", "0", "--out", str(tmp_path)])
+    out = tmp_path / "res"
+    rc = cli_main(["run", cfg, *flags, "--paths", "0", "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: cannot allocate the run's arrays: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate the run's arrays: ")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):

@@ -39,7 +39,7 @@ from sdexit.sim import _NOISE_BLOCK, _euler_step
 
 
 def _identity_barrier():
-    return quadratic_barrier(None, [1.0], 0.0, name="h(x)=x")
+    return quadratic_barrier(None, [1.0], 0.0)  # h(x) = x
 
 
 def _spec_1d(variant=ProblemVariant.PROBLEM_I, w=1.0, delta=10.0):
@@ -247,7 +247,6 @@ def test_blowup_marks_unsafe_with_flag():
     m = SdeModel(
         n=1, k=1, f1=drift, f2=control_mat, sigma=diffusion,
         control_box=ControlBox(lo=np.array([0.0]), hi=np.array([0.0])),
-        name="explosive",
     )
     spec = ProblemSpec(
         variant=ProblemVariant.PROBLEM_II,
@@ -284,7 +283,6 @@ def test_batch_with_blowups_matches_single_paths():
     m = SdeModel(
         n=1, k=1, f1=drift, f2=control_mat, sigma=diffusion,
         control_box=ControlBox(lo=np.array([0.0]), hi=np.array([0.0])),
-        name="overshooting",
     )
     # g(x) = -x^2 + 4x - 2.95 >= 1 on [2 - 0.05^0.5, 2 + 0.05^0.5]; no unsafe set
     barrier = quadratic_barrier([[-1.0]], [4.0], -2.95)
