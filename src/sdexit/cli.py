@@ -36,7 +36,7 @@ import numpy as np
 
 from .bounds import bound_curve
 from .errors import ConfigError, SdexitError
-from .lp import lp_brute_force, lp_solve, random_lp
+from .lp import OPTIMAL, lp_brute_force, lp_solve, random_lp
 from .mc import estimate_exit_probability
 from .model import (
     SdeModel,
@@ -49,7 +49,7 @@ from .model import (
     scenario_barrier,
 )
 from .sim import _grid_steps, _start_state, _whole_steps, simulate_path
-from .synthesis import ProblemSpec, ProblemVariant
+from .synthesis import FALLBACK, FEASIBLE, ProblemSpec, ProblemVariant
 
 __all__ = [
     "ScenarioConfig",
@@ -326,7 +326,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> dict:
     table = np.column_stack(
         (traj.times, traj.states, traj.controls, traj.cert_a, traj.cert_b, traj.values, curve)
     )
-    status = np.where(traj.cert_feasible, "feasible", "fallback")
+    status = np.where(np.isnan(traj.cert_a), FALLBACK, FEASIBLE)  # NaN: no certificate
     # no cell needs csv quoting; "\r\n" is the csv module's default line end
     with open(out / "trajectory.csv", "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -383,7 +383,7 @@ def _selftest(n_instances: int, n_states: int) -> int:
         want = lp_brute_force(prob)
         if got.status != want.status:
             mismatches += 1
-        elif got.status == "optimal" and abs(got.objective_value - want.objective_value) > 1e-8 * (
+        elif got.status == OPTIMAL and abs(got.objective_value - want.objective_value) > 1e-8 * (
             1.0 + abs(want.objective_value)
         ):
             mismatches += 1

@@ -15,25 +15,14 @@ case, so a state gets the same bits alone as inside a simulated batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import BarrierFunction, SdeModel, _check_barrier_dimension, _vector
 
 __all__ = [
-    "GeneratorDecomposition",
     "generator_batch",
     "generator_decompose",
 ]
-
-
-@dataclass(frozen=True)
-class GeneratorDecomposition:
-    """Affine generator coefficients at one state: L(u) = c0 + c . u."""
-
-    c0: float
-    c: np.ndarray
 
 
 def control_terms(
@@ -64,10 +53,10 @@ def generator_batch(
 
 def generator_decompose(
     model: SdeModel, barrier: BarrierFunction, x: np.ndarray
-) -> GeneratorDecomposition:
-    """Decompose the generator of `barrier` at state `x` into c0 + c.u."""
+) -> tuple[float, np.ndarray]:
+    """Decompose the generator of `barrier` at state `x` into c0 + c.u: (c0, c of shape (m,))."""
     x = _vector(x, model.n)
     _check_barrier_dimension(model, barrier)
     c0, c = generator_batch(model, barrier, x[None, :])
-    return GeneratorDecomposition(c0=float(c0[0]), c=c[0])
+    return float(c0[0]), c[0]
 

@@ -76,8 +76,7 @@ class Trajectory:
     controls: np.ndarray  # (S+1, m)
     values: np.ndarray  # (S+1,) barrier values of the states
     cert_a: np.ndarray  # (S+1,), NaN on fallback steps
-    cert_b: np.ndarray  # (S+1,)
-    cert_feasible: np.ndarray  # (S+1,) bool
+    cert_b: np.ndarray  # (S+1,), NaN on fallback steps
     outcome: str  # EXITED_TARGET, EXITED_UNSAFE or TIMEOUT
     exit_time: float  # NaN for Timeout
     blowup: bool
@@ -96,7 +95,6 @@ class BatchOutcomes:
     values: np.ndarray | None = None  # (P, S+1)
     cert_a: np.ndarray | None = None
     cert_b: np.ndarray | None = None
-    cert_feasible: np.ndarray | None = None
 
     @staticmethod
     def kind_name(code: int) -> str:
@@ -285,7 +283,7 @@ def run_paths(
     rows = np.arange(steps + 1)
     solve = rows <= last[:, None]
     c0, cvec = generator_batch(model, spec.barrier, rec_states[solve])
-    u, a, b, feas = certificate_solve(rec_values[solve], c0, cvec, box, spec)
+    u, a, b, _ = certificate_solve(rec_values[solve], c0, cvec, box, spec)
     solved = (np.cumsum(last + 1) - (last + 1))[:, None] + np.minimum(rows, last[:, None])
     state_rows = np.minimum(rows, last[:, None] + 1)  # the exit state is row last + 1
     return BatchOutcomes(
@@ -298,7 +296,6 @@ def run_paths(
         values=np.take_along_axis(rec_values, state_rows, axis=1),
         cert_a=a[solved],
         cert_b=b[solved],
-        cert_feasible=feas[solved],
     )
 
 
@@ -319,7 +316,6 @@ def simulate_path(
         values=res.values[0],
         cert_a=res.cert_a[0],
         cert_b=res.cert_b[0],
-        cert_feasible=res.cert_feasible[0],
         outcome=res.kind_name(res.kind[0]),
         exit_time=float(res.exit_time[0]),
         blowup=bool(res.blowup[0]),

@@ -28,6 +28,7 @@ both return the bang-bang control with NaN certificates and status FALLBACK.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -36,7 +37,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .generator import GeneratorDecomposition, generator_batch, generator_decompose
+from .generator import generator_batch, generator_decompose
 from .lp import OPTIMAL, LpProblem, lp_solve
 from .model import BarrierFunction, ControlBox, SdeModel, _check_barrier_dimension, _vector
 
@@ -93,47 +94,43 @@ class SynthesisResult:
     """Control plus certificate at one state.
 
     status is FEASIBLE or FALLBACK; on FALLBACK the control is the bang-bang
-    generator maximizer and (a, b, lp_objective) are NaN sentinels.  The
-    results of ``synthesize_control_fast`` share one read-only u per control.
+    generator maximizer and (a, b) are NaN.  The results of
+    ``synthesize_control_fast`` share one read-only u per control.
     """
 
     u: np.ndarray
     a: float
     b: float
     status: str
-    lp_objective: float
 
 
 def build_lp_problem(
-    decomp: GeneratorDecomposition,
-    value: float,
-    spec: ProblemSpec,
-    box: ControlBox,
+    v: float, c0: float, c: np.ndarray, box: ControlBox, spec: ProblemSpec
 ) -> LpProblem:
-    """Certificate LP over z = (u_1..u_m, a, b) at a state with barrier value ``value``.
+    """Certificate LP over z = (u_1..u_m, a, b): one row of certificate_solve's arguments.
 
     The (a, b) box comes from spec.variant: a <= delta and b >= 0 for
     variant I, a and b in [-delta, delta] for variant II.  Warns when the
-    value lies outside the variant's domain.
+    barrier value v lies outside the variant's domain.
     """
-    m = decomp.c.shape[0]
+    m = c.shape[0]
     if box.m != m:
         raise DimensionError("control box does not match generator decomposition")
     delta = spec.delta
     if spec.variant == ProblemVariant.PROBLEM_I:
-        if not 0.0 < value < 1.0:
-            warnings.warn(f"variant-I synthesis at h = {value}, outside (0, 1)", stacklevel=2)
+        if not 0.0 < v < 1.0:
+            warnings.warn(f"variant-I synthesis at h = {v}, outside (0, 1)", stacklevel=2)
         ab_lo, ab_hi = [-np.inf, 0.0], [delta, np.inf]
     else:
-        if value >= 1.0:
-            warnings.warn(f"variant-II synthesis at g = {value} >= 1", stacklevel=2)
+        if v >= 1.0:
+            warnings.warn(f"variant-II synthesis at g = {v} >= 1", stacklevel=2)
         ab_lo, ab_hi = [-delta, -delta], [delta, delta]
-    row_gen = np.concatenate([-decomp.c, [value, -1.0]])
+    row_gen = np.concatenate([-c, [v, -1.0]])
     row_margin = np.concatenate([np.zeros(m), [-1.0, 1.0]])
     return LpProblem(
         objective=np.concatenate([np.zeros(m), [1.0, -spec.weight_w]]),
         rows=np.vstack([row_gen, row_margin]),
-        rhs=np.array([decomp.c0, -spec.strict_margin_eps]),
+        rhs=np.array([c0, -spec.strict_margin_eps]),
         lo=np.concatenate([box.lo, ab_lo]),
         hi=np.concatenate([box.hi, ab_hi]),
     )
@@ -153,10 +150,10 @@ def synthesize_control(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> Syn
     bang-bang fallback control with NaN certificate.
     """
     x = np.asarray(x, dtype=float)
-    decomp = generator_decompose(model, spec.barrier, x)
+    c0, c = generator_decompose(model, spec.barrier, x)
     v = float(spec.barrier.value(x[None, :])[0])
     box = model.control_box
-    prob = build_lp_problem(decomp, v, spec, box)
+    prob = build_lp_problem(v, c0, c, box, spec)
     m = box.m
 
     if spec.weight_w >= spec.lexicographic_threshold:
@@ -169,17 +166,11 @@ def synthesize_control(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> Syn
     else:
         sol = lp_solve(prob)
     if sol.status != OPTIMAL:
-        nan = float("nan")
-        return SynthesisResult(
-            u=bang_bang(decomp.c, box), a=nan, b=nan, status=FALLBACK, lp_objective=nan
-        )
+        return SynthesisResult(u=bang_bang(c, box), a=math.nan, b=math.nan, status=FALLBACK)
 
     z = sol.z
     u = np.clip(z[:m], box.lo, box.hi)
-    a, b = float(z[m]), float(z[m + 1])
-    return SynthesisResult(
-        u=u, a=a, b=b, status=FEASIBLE, lp_objective=a - spec.weight_w * b
-    )
+    return SynthesisResult(u=u, a=float(z[m]), b=float(z[m + 1]), status=FEASIBLE)
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +263,10 @@ def synthesize_control_fast(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -
     xs = x[None, :]
     c0, c = generator_batch(model, spec.barrier, xs)
     u, a, b, feasible = certificate_solve(spec.barrier.value(xs), c0, c, model.control_box, spec)
-    # an infeasible row already holds the bang-bang control and NaN (a, b),
-    # so its lp_objective comes out NaN as well
-    a0, b0 = float(a[0]), float(b[0])
+    # an infeasible row already holds the bang-bang control and NaN (a, b)
     return SynthesisResult(
         u=_shared_control(u[0].tobytes()),
-        a=a0,
-        b=b0,
+        a=float(a[0]),
+        b=float(b[0]),
         status=FEASIBLE if feasible[0] else FALLBACK,
-        lp_objective=a0 - spec.weight_w * b0,
     )

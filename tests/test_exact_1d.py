@@ -106,9 +106,9 @@ def test_best_domain_valid_pair_bounds_the_exact_value():
 def test_t0_pair_is_not_valid_on_the_whole_domain(w):
     """The LP's pair at x0 breaks G >= a v - b at v = 1, the target level."""
     model, spec, x0 = instantiate(validate_config({**RAW, "w": w}))
-    dec = generator_decompose(model, spec.barrier, x0)
+    c0, c = generator_decompose(model, spec.barrier, x0)
     lo, hi = model.control_box.lo, model.control_box.hi
-    assert dec.c0 + float(np.maximum(dec.c * lo, dec.c * hi).sum()) == pytest.approx(G)
+    assert c0 + float(np.maximum(c * lo, c * hi).sum()) == pytest.approx(G)
     res = synthesize_control_fast(model, spec, x0)
     slack = G - (res.a - res.b)
     assert slack < 0, (res.a, res.b, slack)

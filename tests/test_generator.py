@@ -32,27 +32,28 @@ def _reference_decompose(model, barrier, x):
 
 def test_acc_scenario1_reference_point():
     m = acc_model()
-    decomp = generator_decompose(m, scenario_barrier(1), np.array([-0.5, 1.5]))
+    c0, c = generator_decompose(m, scenario_barrier(1), np.array([-0.5, 1.5]))
+    assert type(c0) is float and c.shape == (m.m,)  # row 0 of generator_batch
     # affine barrier: zero Hessian, so c0 = grad . f1 only
-    assert decomp.c0 == pytest.approx(-0.45 * (2.3375 / 1650.0) + 0.25, rel=1e-12)
-    assert decomp.c0 == pytest.approx(0.2493625, abs=1e-7)
-    assert decomp.c[0] == pytest.approx(-0.45 / 1650.0, rel=1e-12)
-    assert decomp.c[0] == pytest.approx(-2.72727e-4, abs=1e-9)
+    assert c0 == pytest.approx(-0.45 * (2.3375 / 1650.0) + 0.25, rel=1e-12)
+    assert c0 == pytest.approx(0.2493625, abs=1e-7)
+    assert c[0] == pytest.approx(-0.45 / 1650.0, rel=1e-12)
+    assert c[0] == pytest.approx(-2.72727e-4, abs=1e-9)
 
 
 def test_acc_scenario3_center_has_zero_control_coupling():
     m = acc_model()
-    decomp = generator_decompose(m, scenario_barrier(3), np.array([10.0, 10.0]))
-    assert decomp.c0 == pytest.approx(0.03125, abs=0)
-    assert decomp.c[0] == 0.0
+    c0, c = generator_decompose(m, scenario_barrier(3), np.array([10.0, 10.0]))
+    assert c0 == pytest.approx(0.03125, abs=0)
+    assert c[0] == 0.0
 
 
 def test_acc_scenario2_includes_trace_term():
     m = acc_model()
-    decomp = generator_decompose(m, scenario_barrier(2), np.array([-0.5, 1.5]))
+    c0, c = generator_decompose(m, scenario_barrier(2), np.array([-0.5, 1.5]))
     # grad.f1 plus 0.5 tr(H) for identity diffusion, H = I/4
-    assert decomp.c0 == pytest.approx(0.37482292 + 0.25, abs=1e-8)
-    assert decomp.c[0] == pytest.approx(-0.125 / 1650.0, rel=1e-12)
+    assert c0 == pytest.approx(0.37482292 + 0.25, abs=1e-8)
+    assert c[0] == pytest.approx(-0.125 / 1650.0, rel=1e-12)
 
 
 def test_matches_index_loop_reference_on_random_inputs():
@@ -68,8 +69,8 @@ def test_matches_index_loop_reference_on_random_inputs():
     barrier = quadratic_barrier(rng.normal(size=(3, 3)), rng.normal(size=3), 0.3)
     for _ in range(25):
         x = rng.normal(size=3)
-        decomp = generator_decompose(model, barrier, x)
+        c0, c = generator_decompose(model, barrier, x)
         c0_ref, c_ref = _reference_decompose(model, barrier, x)
-        assert decomp.c0 == pytest.approx(c0_ref, rel=1e-12, abs=1e-12)
-        assert np.allclose(decomp.c, c_ref, rtol=1e-12, atol=1e-12)
+        assert c0 == pytest.approx(c0_ref, rel=1e-12, abs=1e-12)
+        assert np.allclose(c, c_ref, rtol=1e-12, atol=1e-12)
 

@@ -53,13 +53,13 @@ def _interior_states(rng, scenario, count):
 def test_lp_problem_structure():
     m = acc_model()
     spec = scenario_spec(1, w=1.0)
-    decomp = generator_decompose(m, spec.barrier, np.array([-0.5, 1.5]))
-    prob = build_lp_problem(decomp, 0.6, spec, m.control_box)
+    c0, c = generator_decompose(m, spec.barrier, np.array([-0.5, 1.5]))
+    prob = build_lp_problem(0.6, c0, c, m.control_box, spec)
     assert prob.d == 3  # (u, a, b)
     assert prob.rows.shape == (2, 3)
     assert prob.lo[2] == 0.0 and prob.hi[1] == 10.0
     spec2 = scenario_spec(3, w=1.0)
-    prob2 = build_lp_problem(decomp, 0.0, spec2, m.control_box)
+    prob2 = build_lp_problem(0.0, c0, c, m.control_box, spec2)
     assert prob2.lo[1] == -10.0 and prob2.hi[2] == 10.0
 
 
@@ -71,8 +71,8 @@ def test_scenario1_w1_point_matches_oracle():
     assert res.status == FEASIBLE
     assert res.u[0] == pytest.approx(-1.0, abs=1e-12)
     # cross-check against exhaustive vertex enumeration of the same LP
-    decomp = generator_decompose(m, spec.barrier, x0)
-    oracle = lp_brute_force(build_lp_problem(decomp, 0.6, spec, m.control_box))
+    c0, c = generator_decompose(m, spec.barrier, x0)
+    oracle = lp_brute_force(build_lp_problem(0.6, c0, c, m.control_box, spec))
     assert oracle.status == "optimal"
     assert res.a == pytest.approx(oracle.z[1], abs=1e-9)
     assert res.b == pytest.approx(oracle.z[2], abs=1e-9)
@@ -112,8 +112,8 @@ def test_stage1_b_is_polygon_minimum():
         res = synthesize_control(m, spec, x)
         if res.status != FEASIBLE:
             continue
-        decomp = generator_decompose(m, spec.barrier, x)
-        prob = build_lp_problem(decomp, float(spec.barrier.value(x)), spec, m.control_box)
+        c0, c = generator_decompose(m, spec.barrier, x)
+        prob = build_lp_problem(float(spec.barrier.value(x)), c0, c, m.control_box, spec)
         min_b = lp_brute_force(
             LpProblem(
                 objective=np.array([0.0, 0.0, -1.0]),
@@ -142,9 +142,9 @@ def test_fast_kernel_matches_simplex(scenario, w):
         scale = 1.0 + abs(full.a) + abs(full.b)
         assert abs(full.a - fast.a) <= 1e-7 * scale
         assert abs(full.b - fast.b) <= 1e-7 * scale
-        decomp = generator_decompose(m, spec.barrier, x)
-        gen_full = decomp.c0 + float(decomp.c @ full.u)
-        gen_fast = decomp.c0 + float(decomp.c @ fast.u)
+        c0, c = generator_decompose(m, spec.barrier, x)
+        gen_full = c0 + float(c @ full.u)
+        gen_fast = c0 + float(c @ fast.u)
         assert gen_full == pytest.approx(gen_fast, abs=1e-10)
 
 
@@ -192,10 +192,10 @@ def test_infeasible_spec_degrades_to_fallback():
     fast = synthesize_control_fast(m, spec, np.array([-0.5, 1.5]))
     for r in (res, fast):
         assert r.status == FALLBACK
-        assert np.isnan(r.a) and np.isnan(r.b) and np.isnan(r.lp_objective)
-    decomp = generator_decompose(m, spec.barrier, np.array([-0.5, 1.5]))
+        assert np.isnan(r.a) and np.isnan(r.b)
+    _, c = generator_decompose(m, spec.barrier, np.array([-0.5, 1.5]))
     for r in (res, fast):
-        assert np.array_equal(r.u, bang_bang(decomp.c, m.control_box))
+        assert np.array_equal(r.u, bang_bang(c, m.control_box))
     assert res.u[0] == -1.0  # c < 0 picks the lower box corner
 
 
@@ -206,8 +206,9 @@ def test_objective_monotone_in_delta():
     for delta in (0.5, 2.0, 10.0, 40.0):
         res = synthesize_control(m, scenario_spec(1, w=1.0, delta=delta), x)
         assert res.status == FEASIBLE
-        assert res.lp_objective >= prev - 1e-12
-        prev = res.lp_objective
+        objective = res.a - res.b  # a - w b at w = 1
+        assert objective >= prev - 1e-12
+        prev = objective
 
 
 def test_batch_certificates_match_scalar_calls():
@@ -327,18 +328,16 @@ def test_closed_form_matches_simplex_and_oracle(variant_ii, v, c0, c, delta, w):
     model = linear_model(np.zeros((1, 1)), [c0], [c], np.zeros((1, 1)), [-1.0, -2.0], [1.0, 3.0])
     box = model.control_box
     x = np.array([v])
-    decomp = generator_decompose(model, spec.barrier, x)
-    u, a, b, feasible = certificate_solve(
-        np.array([v]), np.array([decomp.c0]), decomp.c[None, :], box, spec
-    )
+    c0, c = generator_decompose(model, spec.barrier, x)
+    u, a, b, feasible = certificate_solve(np.array([v]), np.array([c0]), c[None, :], box, spec)
     u, a, b, feasible = u[0], float(a[0]), float(b[0]), bool(feasible[0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # v on or outside the variant's range
         dense = synthesize_control(model, spec, x)
-        prob = build_lp_problem(decomp, v, spec, box)
+        prob = build_lp_problem(v, c0, c, box, spec)
     oracle = _oracle(prob, spec, box.m)
-    g = decomp.c0 + float(decomp.c @ u)
-    assert g == decomp.c0 + float(decomp.c @ bang_bang(decomp.c, box))
+    g = c0 + float(c @ u)
+    assert g == c0 + float(c @ bang_bang(c, box))
 
     if not feasible:
         assert np.isnan(a) and np.isnan(b)
@@ -347,7 +346,7 @@ def test_closed_form_matches_simplex_and_oracle(variant_ii, v, c0, c, delta, w):
         if dense.status == FEASIBLE or oracle.status == OPTIMAL:
             tau = 1e-7 * (1.0 + abs(g) + abs(v) * delta)
             shifted = certificate_solve(
-                np.array([v]), np.array([decomp.c0 + tau]), decomp.c[None, :], box, spec
+                np.array([v]), np.array([c0 + tau]), c[None, :], box, spec
             )[3]
             assert shifted[0]
         return
