@@ -114,9 +114,13 @@ def _check_barrier_dimension(model: SdeModel, barrier: BarrierFunction) -> None:
 
 
 def _evaluate(label: str, fn: Callable, xs: np.ndarray, want: tuple) -> np.ndarray:
-    """fn at a batch of states, required to have shape (P,) + want."""
+    """fn at a batch of states, required to have shape (P,) + want.
+
+    Floating-point warnings are silenced: the caller reports a non-finite value itself.
+    """
     try:
-        arr = np.asarray(fn(xs), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            arr = np.asarray(fn(xs), dtype=float)
     except (IndexError, ValueError) as exc:
         raise DimensionError(f"{label}(x) fails on states of shape {xs.shape}: {exc}") from exc
     if arr.shape != xs.shape[:1] + want:
@@ -145,10 +149,10 @@ def validate_model(model: SdeModel, x: np.ndarray | None = None) -> None:
     for label, fn, want in fields:
         arr = _evaluate(label, fn, xs, want)
         if not np.isfinite(arr).all():
-            raise DomainError(f"{label}(x) is not finite at {xs}")
+            raise DomainError(f"{label}(x) is not finite at {xs.tolist()}")
         alone = np.concatenate([_evaluate(label, fn, xs[i : i + 1], want) for i in range(2)])
         if alone.tobytes() != arr.tobytes():
-            raise DomainError(f"{label}(x) on the batch {xs} differs from each state alone")
+            raise DomainError(f"{label}(x) on the batch {xs.tolist()} differs from each state alone")
 
 
 # ---------------------------------------------------------------------------

@@ -632,6 +632,7 @@ def test_cli_unreadable_or_malformed_file(tmp_path, capsys):
 
 
 RAGGED_A = {"model": {"name": "linear", "params": {**LINEAR["params"], "A": [[0, 1], [2]]}}}
+OVERFLOW_FIELD = {"model": {"name": "acc", "params": {"f1": 1e308, "f2": 1e308}}}  # f1(x) overflows
 
 
 @pytest.mark.parametrize(
@@ -643,15 +644,21 @@ RAGGED_A = {"model": {"name": "linear", "params": {**LINEAR["params"], "A": [[0,
         ("validate", _raw(), ["--dt", "1e-320"], "dt"),
         ("validate", _raw(), ["--dt", "1e-320", "--horizon", "inf"], "dt"),
         ("run", _raw(), ["--dt", "1e-320", "--horizon", "inf"], "dt"),
+        ("validate", _raw(**OVERFLOW_FIELD), [], "model.params"),
     ],
-    ids=["nan x0 validate", "nan x0 run", "ragged A", "dt 1e-320", "dt 1e-320 inf", "dt 1e-320 inf run"],
+    ids=[
+        "nan x0 validate", "nan x0 run", "ragged A", "dt 1e-320", "dt 1e-320 inf", "dt 1e-320 inf run",
+        "overflowing field",
+    ],
 )
 def test_cli_config_errors_exit_2_naming_the_field(tmp_path, capsys, command, raw, flags, field):
     out = tmp_path / "res"
     out_flags = ["--out", str(out)] if command == "run" else []
     rc = cli_main([command, _write(tmp_path, raw), *flags, *out_flags])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"error: config field '{field}'")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{field}'")
+    assert err.count("\n") == 1  # one line: no warning, no traceback, no wrapped array
     assert not out.exists()
 
 
