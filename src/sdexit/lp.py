@@ -379,7 +379,7 @@ def lp_brute_force(problem: LpProblem) -> LpSolution:
     ftol = ORACLE_FEAS_TOL * np.maximum(1.0, np.abs(g_rhs))
 
     _, s, vt = np.linalg.svd(g_mat)
-    rank = int(np.sum(s > s[0] * 1e-10)) if s.size else 0
+    rank = int(np.sum(s > s[0] * 1e-10))  # every row is a unit vector, so rank >= 1
 
     if rank == d:
         status, z, val = _pointed_solve(g_mat, g_rhs, c, ftol)
@@ -391,17 +391,8 @@ def lp_brute_force(problem: LpProblem) -> LpSolution:
     c_null = null_basis.T @ c
     if np.linalg.norm(c_null) > 1e-9 * (1.0 + cnorm):
         # objective moves along a feasible line: unbounded iff feasible at all
-        if rank == 0:
-            feasible = bool(np.all(g_rhs >= -ftol))
-        else:
-            status, _, _ = _pointed_solve(g_mat @ row_basis, g_rhs, np.zeros(rank), ftol)
-            feasible = status == OPTIMAL
-        return LpSolution(UNBOUNDED if feasible else INFEASIBLE, None, None)
-
-    if rank == 0:
-        if np.all(g_rhs >= -ftol):
-            return LpSolution(OPTIMAL, np.zeros(d), 0.0)
-        return LpSolution(INFEASIBLE, None, None)
+        status, _, _ = _pointed_solve(g_mat @ row_basis, g_rhs, np.zeros(rank), ftol)
+        return LpSolution(UNBOUNDED if status == OPTIMAL else INFEASIBLE, None, None)
 
     status, y, _ = _pointed_solve(g_mat @ row_basis, g_rhs, row_basis.T @ c, ftol)
     if status != OPTIMAL:

@@ -166,6 +166,9 @@ def test_wrong_type_names_the_field():
         validate_config(_raw(dt="abc"))
     assert _field_of(exc.value) == "dt"
     assert "dt" in str(exc.value)
+    with pytest.raises(ConfigError) as exc:
+        validate_config([_raw()])
+    assert _field_of(exc.value) == "config"
 
 
 def test_unknown_field_rejected():
@@ -204,6 +207,9 @@ def test_numeric_domain_checks():
         ("w", -1.0),
         ("z", 0.0),
         ("mc_horizon", 0.0),
+        ("w", float("nan")),
+        ("delta", float("inf")),
+        ("x0", 0.5),
     ):
         with pytest.raises(ConfigError) as exc:
             validate_config(_raw(**{field: value}))
@@ -243,6 +249,15 @@ def test_unknown_model_and_bad_params():
     with pytest.raises(ConfigError) as exc:
         validate_config(_raw(model={"name": ["acc"]}))
     assert _field_of(exc.value) == "model.name"
+    for model, field in (
+        ("acc", "model"),
+        ({"name": "acc", "extra": 1}, "model"),
+        ({"name": "acc", "params": [5.0]}, "model.params"),
+        ({"name": "acc", "params": {"mass": 0}}, "model.params"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(_raw(model=model))
+        assert _field_of(exc.value) == field, model
 
 
 def test_linear_schema_errors_name_the_field():
@@ -254,6 +269,7 @@ def test_linear_schema_errors_name_the_field():
         ({**params, "A": [[0.0, 1.0], [2.0]]}, "model.params.A[1]"),
         ({**params, "B": [[0.1], [0.1, 0.2]]}, "model.params.B[1]"),
         ({**params, "sigma": [[1.0], [], [1.0]]}, "model.params.sigma[1]"),
+        ({**params, "A": []}, "model.params.A"),
     ):
         with pytest.raises(ConfigError) as exc:
             validate_config(_raw(**{**MODELS["linear"], "model": {"name": "linear", "params": bad}}))
@@ -270,6 +286,9 @@ def test_scenario_barrier_forms():
     assert cfg.scenario_barrier["c"] == (-0.45, 0.25)
     with pytest.raises(ConfigError) as exc:
         validate_config(_raw(scenario_barrier={"c": [1.0, 0.0]}))
+    assert _field_of(exc.value) == "scenario_barrier"
+    with pytest.raises(ConfigError) as exc:
+        validate_config(_raw(scenario_barrier={**inline, "R": [[1.0]]}))
     assert _field_of(exc.value) == "scenario_barrier"
 
 
@@ -625,7 +644,9 @@ def test_cli_unreadable_or_malformed_file(tmp_path, capsys):
     undecodable.write_bytes(b"\xff" + json.dumps(_raw()).encode())
     deep = tmp_path / "deep.json"
     deep.write_text('{"x0": ' + "[" * 100_000 + "]" * 100_000 + "}")
-    for path in (undecodable, deep):
+    top_array = tmp_path / "array.json"
+    top_array.write_text(json.dumps([_raw()]))
+    for path in (undecodable, deep, top_array):
         rc = cli_main(["validate", str(path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: config field 'config'")
@@ -645,10 +666,12 @@ OVERFLOW_FIELD = {"model": {"name": "acc", "params": {"f1": 1e308, "f2": 1e308}}
         ("validate", _raw(), ["--dt", "1e-320", "--horizon", "inf"], "dt"),
         ("run", _raw(), ["--dt", "1e-320", "--horizon", "inf"], "dt"),
         ("validate", _raw(**OVERFLOW_FIELD), [], "model.params"),
+        ("validate", _raw(w=float("nan")), [], "w"),  # json writes the NaN literal
+        ("run", _raw(), ["--delta", "inf"], "delta"),
     ],
     ids=[
         "nan x0 validate", "nan x0 run", "ragged A", "dt 1e-320", "dt 1e-320 inf", "dt 1e-320 inf run",
-        "overflowing field",
+        "overflowing field", "nan literal", "delta inf run",
     ],
 )
 def test_cli_config_errors_exit_2_naming_the_field(tmp_path, capsys, command, raw, flags, field):

@@ -8,6 +8,8 @@ from sdexit import (
     OPTIMAL,
     UNBOUNDED,
     CapacityError,
+    DimensionError,
+    DomainError,
     LpProblem,
     lp_brute_force,
     lp_solve,
@@ -185,27 +187,30 @@ def test_random_oracle_equivalence_all_statuses():
 
 
 def test_shape_validation():
-    with pytest.raises(Exception):
-        LpProblem(
-            objective=np.array([1.0, 2.0]),
-            rows=np.zeros((1, 3)),
-            rhs=np.zeros(1),
-            lo=np.zeros(2),
-            hi=np.ones(2),
-        )
-    with pytest.raises(Exception):
-        LpProblem(
-            objective=np.array([np.nan]),
-            rows=np.zeros((0, 1)),
-            rhs=np.zeros(0),
-            lo=np.array([0.0]),
-            hi=np.array([1.0]),
-        )
-    with pytest.raises(Exception):
-        LpProblem(  # lo = +inf is not a usable bound
-            objective=np.array([1.0]),
-            rows=np.zeros((0, 1)),
-            rhs=np.zeros(0),
-            lo=np.array([np.inf]),
-            hi=np.array([np.inf]),
-        )
+    one = {"rows": np.zeros((0, 1)), "rhs": np.zeros(0), "lo": np.zeros(1), "hi": np.ones(1)}
+    cases = [
+        (DimensionError, {"objective": [1.0, 2.0], "rows": np.zeros((1, 3)), "rhs": np.zeros(1),
+                          "lo": np.zeros(2), "hi": np.ones(2)}),
+        (DimensionError, {**one, "objective": [1.0], "rows": np.ones((1, 1)), "rhs": np.zeros(2)}),
+        (DimensionError, {**one, "objective": [1.0], "lo": np.zeros(2)}),
+        (DomainError, {**one, "objective": [np.nan]}),
+        (DomainError, {**one, "objective": [1.0], "hi": np.array([np.nan])}),
+        # lo = +inf is not a usable bound
+        (DomainError, {**one, "objective": [1.0], "lo": np.array([np.inf]), "hi": np.array([np.inf])}),
+    ]
+    for error, fields in cases:
+        with pytest.raises(error):
+            LpProblem(**fields)
+
+
+def test_lineality_and_empty_row_edge_cases():
+    """The oracle's lineality-space and zero-row paths agree with the simplex."""
+    free = {"lo": [-np.inf] * 2, "hi": [np.inf] * 2}
+    got, _ = _agree(_box([1.0, 1.0], rows=[[1.0, 1.0]], rhs=[1.0], **free))
+    assert got.objective_value == pytest.approx(1.0, abs=1e-12)
+    got, _ = _agree(_box([1.0, 1.0], rows=[[1.0, 1.0], [-1.0, -1.0]], rhs=[1.0, -2.0], **free))
+    assert got.status == INFEASIBLE
+    got, _ = _agree(_box([1.0], lo=[-np.inf], hi=[np.inf], rows=[[0.0]], rhs=[-1.0]))
+    assert got.status == INFEASIBLE
+    got, _ = _agree(_box([0.0, 0.0], **free))
+    assert got.status == OPTIMAL and got.objective_value == 0.0

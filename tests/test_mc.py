@@ -54,6 +54,8 @@ def test_wilson_edges_and_domain():
         wilson_interval(-1, 4, 3.0)
     with pytest.raises(DomainError):
         wilson_interval(1, 4, 0.0)
+    with pytest.raises(DomainError, match="n must be at least 1"):
+        wilson_interval(0, 0, 3.0)
 
 
 def test_wilson_contains_point_estimate():
@@ -156,3 +158,8 @@ def test_parameter_validation():
         estimate_exit_probability(m, _spec_1d(), np.array([0.9]), 0.01, 1.0, 0, 7)
     with pytest.raises(DomainError):
         estimate_exit_probability(m, _spec_1d(), np.array([1.5]), 0.01, 1.0, 10, 7)
+    for horizon in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="horizon must be finite and nonnegative"):
+            estimate_exit_probability(m, _spec_1d(), np.array([0.5]), 0.01, horizon, 10, 7)
+    with pytest.raises(DomainError, match="at least one path seed"):
+        sdexit.sim.run_paths(m, _spec_1d(), np.array([0.5]), 0.01, 1.0, [])

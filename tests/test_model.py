@@ -98,6 +98,8 @@ def test_linear_model_shapes_and_values():
             u_lo=[-1.0],
             u_hi=[1.0],
         )
+    with pytest.raises(DimensionError, match="B and sigma must have n rows"):
+        linear_model([[0.0]], [0.0], [[1.0], [1.0]], [[1.0]], [-1.0], [1.0])
 
 
 def test_scenario_barrier_values():
@@ -135,6 +137,8 @@ def test_barrier_vectorized_value():
 
 def test_quadratic_barrier_symmetrizes_q():
     bar = quadratic_barrier([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0], 0.0)
+    with pytest.raises(DimensionError, match="Q has shape"):
+        quadratic_barrier([[1.0, 2.0]], [0.0, 0.0], 0.0)
     h = bar.hessian(np.zeros(2))
     assert np.allclose(h, h.T)
     # value must match the symmetrized quadratic form
@@ -195,8 +199,10 @@ def test_validate_model_rejects_bad_shapes():
         (lambda x: np.array([x[1], -x[0]]), DimensionError),
         # coordinate swap written for one state: on a batch it swaps the states
         (lambda x: np.asarray(x)[::-1], DomainError),
+        # transpose, a no-op on one state: a batch of one comes back with shape (n, 1)
+        (lambda x: np.asarray(x).T, DimensionError),
     ],
-    ids=["rotation", "swap"],
+    ids=["rotation", "swap", "transpose"],
 )
 def test_validate_model_rejects_single_state_only_fields(drift, error):
     base = linear_model(np.zeros((2, 2)), np.zeros(2), [[1.0], [0.0]], np.eye(2), [-1.0], [1.0])
@@ -291,6 +297,8 @@ def test_linear_model_keeps_no_caller_array(name):
     want = snapshot()
     _poke(args[name])  # past the finiteness checks, if the model kept the array
     assert snapshot() == want
+    with pytest.raises(DomainError, match="finite"):  # the same NaN given up front
+        linear_model(**{**args, name: args[name].copy()})
 
 
 @pytest.mark.parametrize("name", ["q_mat", "c_vec", "d"])
@@ -305,6 +313,9 @@ def test_quadratic_barrier_keeps_no_caller_array(name):
     want = [np.asarray(fn(x)).tobytes() for fn in (bar.value, bar.gradient, bar.hessian)]
     _poke(args[name], 100.0)
     assert [np.asarray(fn(x)).tobytes() for fn in (bar.value, bar.gradient, bar.hessian)] == want
+    _poke(args[name], np.inf)
+    with pytest.raises(DomainError, match="barrier coefficients must be finite"):
+        quadratic_barrier(**args)
 
 
 # each entry point that takes a single state, called as (model, spec, x)

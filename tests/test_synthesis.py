@@ -13,6 +13,8 @@ from sdexit import (
     FALLBACK,
     FEASIBLE,
     ControlBox,
+    DimensionError,
+    DomainError,
     LpProblem,
     ProblemSpec,
     ProblemVariant,
@@ -61,6 +63,11 @@ def test_lp_problem_structure():
     spec2 = scenario_spec(3, w=1.0)
     prob2 = build_lp_problem(0.0, c0, c, m.control_box, spec2)
     assert prob2.lo[1] == -10.0 and prob2.hi[2] == 10.0
+    with pytest.raises(DimensionError, match="control box does not match"):
+        build_lp_problem(0.6, c0, c, ControlBox(lo=np.zeros(2), hi=np.ones(2)), spec)
+    for name, value in (("delta", 0.0), ("strict_margin_eps", np.inf), ("weight_w", -1.0)):
+        with pytest.raises(DomainError, match=name):
+            replace(spec, **{name: value})
 
 
 def test_scenario1_w1_point_matches_oracle():
@@ -271,6 +278,17 @@ def test_nan_inputs_certify_nothing(w):
     assert feasible.tolist() == [False, False, True]
     assert np.isnan(a[:2]).all() and np.isnan(b[:2]).all()
     assert np.array_equal(u, np.ones((3, 1)))
+    # a row is feasible exactly when its (a, b) is finite, at extreme and non-finite inputs too
+    v, c0, c = (grid.ravel() for grid in np.meshgrid(
+        [np.nan, 0.0, 1.0, 1e-300, -1e-300, 0.5, 1.5],
+        [np.inf, -np.inf, np.nan, 1e308, -1e308, 0.0, 0.1, -0.1],
+        [0.0, 1.0],
+        indexing="ij",
+    ))
+    for variant in ProblemVariant:
+        _, a, b, feasible = certificate_solve(v, c0, c[:, None], box, replace(spec, variant=variant))
+        assert np.array_equal(feasible, np.isfinite(a) & np.isfinite(b))
+        assert feasible.any() and not feasible.all()
 
 
 # --- closed form against the dense simplex and the enumeration oracle -------
@@ -331,6 +349,7 @@ def test_closed_form_matches_simplex_and_oracle(variant_ii, v, c0, c, delta, w):
     c0, c = generator_decompose(model, spec.barrier, x)
     u, a, b, feasible = certificate_solve(np.array([v]), np.array([c0]), c[None, :], box, spec)
     u, a, b, feasible = u[0], float(a[0]), float(b[0]), bool(feasible[0])
+    assert feasible == (np.isfinite(a) and np.isfinite(b))  # NaN is the only "no certificate"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # v on or outside the variant's range
         dense = synthesize_control(model, spec, x)
