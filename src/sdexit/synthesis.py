@@ -28,7 +28,6 @@ both return the bang-bang control with NaN certificates and status FALLBACK.
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -166,7 +165,7 @@ def synthesize_control(model: SdeModel, spec: ProblemSpec, x: np.ndarray) -> Syn
     else:
         sol = lp_solve(prob)
     if sol.status != OPTIMAL:
-        return SynthesisResult(u=bang_bang(c, box), a=math.nan, b=math.nan, status=FALLBACK)
+        return SynthesisResult(u=bang_bang(c, box), a=np.nan, b=np.nan, status=FALLBACK)
 
     z = sol.z
     u = np.clip(z[:m], box.lo, box.hi)
