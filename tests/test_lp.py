@@ -189,8 +189,7 @@ def test_random_oracle_equivalence_all_statuses():
 def test_shape_validation():
     one = {"rows": np.zeros((0, 1)), "rhs": np.zeros(0), "lo": np.zeros(1), "hi": np.ones(1)}
     cases = [
-        (DimensionError, {"objective": [1.0, 2.0], "rows": np.zeros((1, 3)), "rhs": np.zeros(1),
-                          "lo": np.zeros(2), "hi": np.ones(2)}),
+        (DimensionError, {**one, "objective": [1.0], "rows": np.zeros((1, 3)), "rhs": np.zeros(1)}),
         (DimensionError, {**one, "objective": [1.0], "rows": np.ones((1, 1)), "rhs": np.zeros(2)}),
         (DimensionError, {**one, "objective": [1.0], "lo": np.zeros(2)}),
         (DomainError, {**one, "objective": [np.nan]}),
