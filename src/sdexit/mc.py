@@ -76,14 +76,12 @@ def estimate_exit_probability(
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
     _check_z(z)  # before any path is simulated
-    n_target = n_unsafe = n_timeout = 0
+    counts = np.zeros(3, dtype=np.int64)  # paths per sim outcome code
     for lo in range(0, n_paths, _CHUNK_PATHS):
-        hi = min(lo + _CHUNK_PATHS, n_paths)
-        seeds = [derive_path_seed(master_seed, i) for i in range(lo, hi)]
+        seeds = [derive_path_seed(master_seed, i) for i in range(n_paths)[lo : lo + _CHUNK_PATHS]]
         res = run_paths(model, spec, x0, dt, horizon, seeds, record=False)
-        n_target += int(np.sum(res.kind == _CODE_TARGET))
-        n_unsafe += int(np.sum(res.kind == _CODE_UNSAFE))
-        n_timeout += int(np.sum(res.kind == _CODE_TIMEOUT))
+        counts += np.bincount(res.kind, minlength=3)
+    n_target, n_unsafe, n_timeout = map(int, counts[[_CODE_TARGET, _CODE_UNSAFE, _CODE_TIMEOUT]])
     estimate = n_target / n_paths
     ci_lo, ci_hi = wilson_interval(n_target, n_paths, z)
     return McSummary(

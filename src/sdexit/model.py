@@ -170,6 +170,16 @@ def _constant_field(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return field
 
 
+def _constant_model(drift, f2_mat, sigma_mat, u_lo, u_hi) -> SdeModel:
+    """The validated model with f1 = drift, constant f2 and sigma, and box [u_lo, u_hi]."""
+    if len(f2_mat) == 0:
+        raise DimensionError("a model needs at least one state coordinate")
+    f2, sigma = _constant_field(f2_mat), _constant_field(sigma_mat)
+    model = SdeModel(len(f2_mat), sigma_mat.shape[1], drift, f2, sigma, ControlBox(u_lo, u_hi))
+    validate_model(model)
+    return model
+
+
 def acc_model(
     f0: float = 0.1,
     f1: float = 5.0,
@@ -198,16 +208,7 @@ def acc_model(
         out[..., 1] = lead_velocity - v
         return out
 
-    model = SdeModel(
-        n=2,
-        k=2,
-        f1=drift,
-        f2=_constant_field(np.array([[inv_m], [0.0]])),
-        sigma=_constant_field(np.eye(2)),
-        control_box=ControlBox(np.array([u_lo]), np.array([u_hi])),
-    )
-    validate_model(model)
-    return model
+    return _constant_model(drift, np.array([[inv_m], [0.0]]), np.eye(2), [u_lo], [u_hi])
 
 
 def deterministic_1d_model(rate: float = 1.0) -> SdeModel:
@@ -247,16 +248,7 @@ def linear_model(
         x = np.asarray(x, dtype=float)
         return np.einsum("...i,ji->...j", x, a_mat) + d_vec
 
-    model = SdeModel(
-        n=n,
-        k=sigma_mat.shape[1],
-        f1=drift,
-        f2=_constant_field(b_mat),
-        sigma=_constant_field(sigma_mat),
-        control_box=ControlBox(u_lo, u_hi),
-    )
-    validate_model(model)
-    return model
+    return _constant_model(drift, b_mat, sigma_mat, u_lo, u_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +261,8 @@ def quadratic_barrier(q_mat: np.ndarray | None, c_vec: np.ndarray, d: float) -> 
     c_vec = np.array(c_vec, dtype=float, ndmin=1)
     d = float(d)
     n = c_vec.shape[0]
+    if n == 0:
+        raise DimensionError("a barrier needs at least one state coordinate")
     if q_mat is None:
         q_mat = np.zeros((n, n))
     q_mat = np.atleast_2d(np.asarray(q_mat, dtype=float))
@@ -340,7 +334,7 @@ def check_barrier_derivatives(barrier: BarrierFunction, x: np.ndarray) -> dict:
 
     grad_err = float(np.max(np.abs(grad_fd - grad) / np.maximum(1.0, np.abs(grad))))
     hess_err = float(np.max(np.abs(hess_fd - hess) / np.maximum(1.0, np.abs(hess))))
-    sym_err = float(np.max(np.abs(hess - hess.T))) if barrier.n > 0 else 0.0
+    sym_err = float(np.max(np.abs(hess - hess.T)))
     return {
         "grad_err": grad_err,
         "hess_err": hess_err,

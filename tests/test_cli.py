@@ -290,6 +290,9 @@ def test_scenario_barrier_forms():
     with pytest.raises(ConfigError) as exc:
         validate_config(_raw(scenario_barrier={**inline, "R": [[1.0]]}))
     assert _field_of(exc.value) == "scenario_barrier"
+    with pytest.raises(ConfigError, match="at least one state coordinate") as exc:
+        validate_config(_raw(scenario_barrier={"Q": None, "c": [], "d": 0.0}))
+    assert _field_of(exc.value) == "scenario_barrier"
 
 
 def test_dimension_cross_checks():

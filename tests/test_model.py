@@ -100,6 +100,8 @@ def test_linear_model_shapes_and_values():
         )
     with pytest.raises(DimensionError, match="B and sigma must have n rows"):
         linear_model([[0.0]], [0.0], [[1.0], [1.0]], [[1.0]], [-1.0], [1.0])
+    with pytest.raises(DimensionError, match="at least one state coordinate"):
+        linear_model(np.zeros((0, 0)), [], np.zeros((0, 1)), np.zeros((0, 1)), [-1.0], [1.0])
 
 
 def test_scenario_barrier_values():
@@ -139,6 +141,8 @@ def test_quadratic_barrier_symmetrizes_q():
     bar = quadratic_barrier([[1.0, 2.0], [0.0, 1.0]], [0.0, 0.0], 0.0)
     with pytest.raises(DimensionError, match="Q has shape"):
         quadratic_barrier([[1.0, 2.0]], [0.0, 0.0], 0.0)
+    with pytest.raises(DimensionError, match="at least one state coordinate"):
+        quadratic_barrier(None, [], 0.5)
     h = bar.hessian(np.zeros(2))
     assert np.allclose(h, h.T)
     # value must match the symmetrized quadratic form
